@@ -12,7 +12,9 @@ Reproducibility contract: every replica owns counter-based random
 streams keyed by (seed, replica, channel).  Drive noise xi, oracle
 noise zeta, and the initial draw live on separate channels, so changing
 the oracle never shifts the drive noise, and a noisy run with sigma = 0
-walks the exact same path as the exact-gradient run.
+walks the exact same path as the exact-gradient run.  Every chain runs
+through one kernel that draws noise in blocks of steps, re-keying one
+Philox per replica, so noise buffers do not grow with K.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -53,8 +56,22 @@ INIT_STREAM = 2
 
 _CHANNELS_PER_REPLICA = 4
 _MAX_SEED = 2**64 // _CHANNELS_PER_REPLICA
+# float64 values per noise buffer and channel (8 MB), whatever K is
+_NOISE_BUDGET = 2**20
 
 InitialState = Union[np.ndarray, Callable[[np.random.Generator], np.ndarray]]
+
+
+def _stream_keys(seed: int, replicas: range, channel: int) -> list:
+    """Philox keys [seed, 4 * replica + channel] of a run of replicas."""
+    if not (0 <= channel < _CHANNELS_PER_REPLICA):
+        raise ValueError(f"channel must be in [0, {_CHANNELS_PER_REPLICA}), got {channel}")
+    if replicas.start < 0:
+        raise ValueError(f"replica must be nonnegative, got {replicas.start}")
+    last = replicas.stop - 1
+    if _CHANNELS_PER_REPLICA * last + channel >= 2**64:
+        raise ValueError(f"replica {last} is too large: 4 * replica + channel must be below 2**64")
+    return [[seed, _CHANNELS_PER_REPLICA * r + channel] for r in replicas]
 
 
 def noise_stream(seed: int, replica: int, channel: int) -> np.random.Generator:
@@ -64,12 +81,38 @@ def noise_stream(seed: int, replica: int, channel: int) -> np.random.Generator:
     given triple always yields the same draws, regardless of how many
     other replicas run or in what order.
     """
-    if not (0 <= channel < _CHANNELS_PER_REPLICA):
-        raise ValueError(f"channel must be in [0, {_CHANNELS_PER_REPLICA}), got {channel}")
-    if replica < 0:
-        raise ValueError(f"replica must be nonnegative, got {replica}")
-    key = np.array([seed, _CHANNELS_PER_REPLICA * replica + channel], dtype=np.uint64)
+    key = np.array(_stream_keys(seed, range(replica, replica + 1), channel)[0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _noise(keys: list, shape: tuple, K: int, law: str = "gaussian") -> Iterator[np.ndarray]:
+    """Yield K per-step draws shaped like the chain state; row j follows stream keys[j].
+
+    One Philox is re-keyed to each replica's key at counter 0 with an
+    empty buffer, where noise_stream starts, so the draws are the same
+    bit for bit.  Blocks of steps fit _NOISE_BUDGET and each replica's
+    state is saved between blocks.  law is "gaussian" or "rademacher".
+    """
+    n, p = len(keys), shape[-1]
+    block = max(1, min(K, _NOISE_BUDGET // (n * p)))
+    buf = np.empty((n, block, p))
+    bitgen = np.random.Philox(0)  # re-keyed before every draw
+    gen = np.random.Generator(bitgen)
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    states = [None] * n
+    for k0 in range(0, K, block):
+        rows = buf[:, : min(block, K - k0)]
+        for j, row in enumerate(rows):
+            fresh["state"]["key"] = keys[j]
+            bitgen.state = states[j] if k0 else fresh
+            if law == "gaussian":
+                gen.standard_normal(out=row)
+            else:
+                row[...] = 2.0 * gen.integers(0, 2, size=row.shape) - 1.0
+            if k0 + block < K:
+                states[j] = bitgen.state
+        yield from rows.transpose(1, 0, 2).reshape((-1,) + tuple(shape))
 
 
 @dataclass(frozen=True)
@@ -231,24 +274,49 @@ def oracle_gradient(
     return scale * target.parts.obs_grad(state, idx).sum(axis=0) + target.parts.common_grad(state)
 
 
+def _advance(theta, K, a, drift, b=0.0, seed=0, replicas=None, law=None, record=False):
+    """The chain kernel: K steps of theta <- theta - a * drift(theta, zeta_k) + b * xi_k.
+
+    theta is one state (p,) or one per replica, (n, p).  xi and, if law
+    is set, zeta come from the replicas' streams (see _noise); else drift
+    gets zeta_k = None.  b = 0 draws and adds no noise.  Returns the
+    final state, or with record the (K + 1, p) iterates of one chain.
+    """
+    xi = _noise(_stream_keys(seed, replicas, XI_STREAM), theta.shape, K) if b else repeat(None)
+    zeta = _noise(_stream_keys(seed, replicas, ZETA_STREAM), theta.shape, K, law) if law else repeat(None)
+    if record:
+        iterates = np.empty((K + 1, theta.shape[-1]))
+        iterates[0] = theta
+    for k, x, z in zip(range(1, K + 1), xi, zeta):
+        theta = theta - a * drift(theta, z)
+        if b:
+            theta = theta + b * x
+        if record:
+            iterates[k] = theta
+    return iterates if record else theta
+
+
+def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas: range, record=False):
+    """Advance config's chain from theta, one state per replica (see _advance)."""
+    oracle, h = config.oracle, config.h
+    if oracle.mode == "gaussian":
+        drift = lambda x, z: target.grad(x) + oracle.sigma * z
+    elif oracle.mode == "subsampled":
+        rng = noise_stream(config.seed, replicas.start, ZETA_STREAM)
+        drift = lambda x, z: oracle_gradient(target, oracle, x, rng)
+    else:
+        drift = lambda x, z: target.grad(x)
+    law = oracle.noise if oracle.mode == "gaussian" else None
+    return _advance(theta, config.K, h, drift, math.sqrt(2.0 * h), config.seed, replicas, law, record)
+
+
 def _run_chain(
     target: TargetPotential, config: LmcConfig, initial: InitialState, replica: int
 ) -> Trajectory:
     t0 = time.perf_counter()
     _check_step_size(config.h, target)
     theta = _resolve_initial(initial, target, config.seed, replica)
-    h, K, p = config.h, config.K, target.dim
-    oracle = config.oracle
-    xi_rng = noise_stream(config.seed, replica, XI_STREAM)
-    zeta_rng = None if oracle.mode == "exact" else noise_stream(config.seed, replica, ZETA_STREAM)
-    root = math.sqrt(2.0 * h)
-    iterates = np.empty((K + 1, p))
-    iterates[0] = theta
-    for k in range(K):
-        xi = xi_rng.standard_normal(p)
-        y = oracle_gradient(target, oracle, theta, zeta_rng)
-        theta = theta - h * y + root * xi
-        iterates[k + 1] = theta
+    iterates = _lmc(target, config, theta, range(replica, replica + 1), record=True)
     return Trajectory(iterates, config, time.perf_counter() - t0, replica=replica)
 
 
@@ -282,19 +350,9 @@ def gradient_descent(
     target: TargetPotential, h: float, K: int, initial: InitialState
 ) -> np.ndarray:
     """Plain descent iterates, shape (K + 1, dim); the zero-noise chain."""
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step size h must be positive and finite, got {h}")
-    K = int(K)
-    if K < 0:
-        raise ValueError(f"iteration count K must be nonnegative, got {K}")
+    config = LmcConfig(h=h, K=K)
     theta = _resolve_initial(initial, target, 0, 0)
-    iterates = np.empty((K + 1, target.dim))
-    iterates[0] = theta
-    for k in range(K):
-        theta = theta - h * target.grad(theta)
-        iterates[k + 1] = theta
-    return iterates
+    return _advance(theta, config.K, config.h, lambda x, z: target.grad(x), record=True)
 
 
 def run_tempered_lmc(
@@ -319,31 +377,24 @@ def run_tempered_lmc(
         raise ValueError(f"tau must be nonnegative and finite, got {tau}")
     if initial is None:
         raise ValueError("an initial state is required")
-    K = int(K)
-    if K < 0:
-        raise ValueError(f"iteration count K must be nonnegative, got {K}")
     t0 = time.perf_counter()
     M = target.M
+    config = LmcConfig(h=tau / M if tau else 1.0 / M, K=K, seed=seed)
     if tau == 0.0:
-        iterates = gradient_descent(target, 1.0 / M, K, initial)
-        config = LmcConfig(h=1.0 / M, K=K, seed=seed)
-        return Trajectory(iterates, config, time.perf_counter() - t0, replica=replica, tau=0.0)
-    theta = _resolve_initial(initial, target, seed, replica)
-    xi_rng = noise_stream(seed, replica, XI_STREAM)
-    scale = math.sqrt(2.0 * tau / M)
-    iterates = np.empty((K + 1, target.dim))
-    iterates[0] = theta
-    for k in range(K):
-        xi = xi_rng.standard_normal(target.dim)
-        theta = theta - target.grad(theta) / M + scale * xi
-        iterates[k + 1] = theta
-    config = LmcConfig(h=tau / M, K=K, seed=seed)
+        iterates = gradient_descent(target, config.h, config.K, initial)
+    else:
+        theta = _resolve_initial(initial, target, seed, replica)
+        # a = 1 with drift grad / M rounds exactly as the formula above
+        drift = lambda x, z: target.grad(x) / M
+        b, replicas = math.sqrt(2.0 * tau / M), range(replica, replica + 1)
+        iterates = _advance(theta, config.K, 1.0, drift, b, config.seed, replicas, record=True)
     return Trajectory(iterates, config, time.perf_counter() - t0, replica=replica, tau=tau)
 
 
 def _chunk_rows(K: int, p: int) -> int:
-    # keep per-chunk noise tensors around 64 MB
-    return max(1, min(4096, 8_000_000 // max(1, K * p)))
+    # fill the noise budget while each re-key still draws min(K * p, 4096)
+    # values, since a re-key costs about as much as a few hundred draws
+    return max(1, min(4096, _NOISE_BUDGET // max(p, min(K * p, 4096))))
 
 
 def final_states(
@@ -355,56 +406,31 @@ def final_states(
     replica index up to floating-point reassociation in batched linear
     algebra; its noise streams are exactly the same.  Results do not
     depend on the thread cap, and prefixes agree across different
-    replica counts.  Exact and additive-noise oracles run vectorized;
-    the subsampled oracle falls back to one chain at a time.
+    replica counts.  Exact and additive-noise oracles run vectorized
+    over chunks of replicas; each chunk re-keys one Philox per replica
+    and draws noise a block of steps at a time, so memory does not grow
+    with K.  The subsampled oracle falls back to one chain at a time.
     """
     replicas = int(replicas)
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     _check_step_size(config.h, target)
-    oracle = config.oracle
-    if oracle.mode == "subsampled":
-        rows = parallel_map(
-            lambda r: _run_chain(target, config, initial, r).iterates[-1], range(replicas)
-        )
-        return np.stack(rows)
+    if config.oracle.mode == "subsampled":
+        return np.stack(parallel_map(lambda r: _run_chain(target, config, initial, r).final, range(replicas)))
 
-    h, K, p, seed = config.h, config.K, target.dim, config.seed
-    root = math.sqrt(2.0 * h)
-    noisy = oracle.mode == "gaussian"
-    out = np.empty((replicas, p))
-    chunk = _chunk_rows(K, p)
-    starts = list(range(0, replicas, chunk))
+    seed = config.seed
+    out = np.empty((replicas, target.dim))
+    chunk = _chunk_rows(config.K, target.dim)
 
     def run_block(r0: int) -> None:
-        r1 = min(r0 + chunk, replicas)
-        n = r1 - r0
-        theta = np.empty((n, p))
+        rows = range(r0, min(r0 + chunk, replicas))
         if callable(initial):
-            for j, r in enumerate(range(r0, r1)):
-                theta[j] = _resolve_initial(initial, target, seed, r)
+            theta = np.stack([_resolve_initial(initial, target, seed, r) for r in rows])
         else:
-            theta[:] = _resolve_initial(initial, target, seed, 0)
-        xi = np.empty((n, K, p))
-        for j, r in enumerate(range(r0, r1)):
-            xi[j] = noise_stream(seed, r, XI_STREAM).standard_normal((K, p))
-        zeta = None
-        if noisy:
-            zeta = np.empty((n, K, p))
-            for j, r in enumerate(range(r0, r1)):
-                stream = noise_stream(seed, r, ZETA_STREAM)
-                if oracle.noise == "gaussian":
-                    zeta[j] = stream.standard_normal((K, p))
-                else:
-                    zeta[j] = 2.0 * stream.integers(0, 2, size=(K, p)).astype(float) - 1.0
-        for k in range(K):
-            y = target.grad(theta)
-            if noisy:
-                y = y + oracle.sigma * zeta[:, k, :]
-            theta = theta - h * y + root * xi[:, k, :]
-        out[r0:r1] = theta
+            theta = np.tile(_resolve_initial(initial, target, seed, 0), (len(rows), 1))
+        out[r0 : rows.stop] = _lmc(target, config, theta, rows)
 
-    parallel_map(run_block, starts)
+    parallel_map(run_block, range(0, replicas, chunk))
     return out
 
 

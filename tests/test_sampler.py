@@ -1,8 +1,12 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import langevin_lab.parallel as parallel_mod
 import langevin_lab.sampler as sampler_mod
 from langevin_lab.sampler import (
     GradientOracle,
@@ -65,6 +69,67 @@ class TestNoiseStream:
             noise_stream(0, 0, -1)
         with pytest.raises(ValueError, match="replica"):
             noise_stream(0, -1, 0)
+
+    def test_key_overflow_names_the_replica(self, gauss2):
+        # 4 * replica + channel is the second key word; 2**62 - 1 with channel 3 is the last key
+        noise_stream(0, 2**62 - 1, 3)
+        with pytest.raises(ValueError, match=f"replica {2**62} is too large"):
+            noise_stream(0, 2**62, XI_STREAM)
+        with pytest.raises(ValueError, match=f"replica {2**62} is too large"):
+            run_lmc(gauss2, small_config(K=1), np.zeros(2), replica=2**62)
+
+
+def reference_draws(seed, replica, channel, law, K, p):
+    g = noise_stream(seed, replica, channel)
+    if law == "gaussian":
+        return g.standard_normal((K, p))
+    return 2.0 * g.integers(0, 2, size=(K, p)).astype(float) - 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**62 - 4),
+    n=st.integers(1, 4),
+    channel=st.integers(0, 3),
+    law=st.sampled_from(["gaussian", "rademacher"]),
+    K=st.integers(1, 12),
+    p=st.integers(1, 3),
+    budget=st.integers(1, 40),
+)
+def test_rekeyed_rows_repeat_noise_stream(seed, start, n, channel, law, K, p, budget):
+    replicas = range(start, start + n)
+    shape = (p,) if n == 1 else (n, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)  # K-blocks of budget // (n * p) steps
+        keys = sampler_mod._stream_keys(seed, replicas, channel)
+        steps = [x.copy() for x in sampler_mod._noise(keys, shape, K, law)]
+    draws = np.stack(steps).reshape(K, n, p)
+    for j, r in enumerate(replicas):
+        assert np.array_equal(draws[:, j], reference_draws(seed, r, channel, law, K, p))
+
+
+_BLOCK_TARGET = quadratic_target(np.array([1.0, -2.0]), np.array([[3.0, 0.5], [0.5, 2.0]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    budget=st.integers(1, 48),
+    chunk=st.integers(1, 5),
+    K=st.integers(1, 20),
+    seed=st.integers(0, 2**20),
+    noise=st.sampled_from(["gaussian", "rademacher"]),
+)
+def test_final_states_do_not_depend_on_block_size(budget, chunk, K, seed, noise):
+    cfg = small_config(K=K, seed=seed, oracle=GradientOracle(mode="gaussian", sigma=0.6, noise=noise))
+    init = np.array([0.5, 0.5])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler_mod, "_chunk_rows", lambda K, p: chunk)
+        whole = final_states(_BLOCK_TARGET, cfg, init, replicas=7)
+        path = run_nlmc(_BLOCK_TARGET, cfg, init, replica=3).iterates
+        mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
+        assert np.array_equal(final_states(_BLOCK_TARGET, cfg, init, replicas=7), whole)
+        assert np.array_equal(run_nlmc(_BLOCK_TARGET, cfg, init, replica=3).iterates, path)
 
 
 class TestConfigs:
@@ -351,9 +416,34 @@ class TestFinalStates:
         outs = final_states(gauss2, cfg, lambda g: g.standard_normal(2), replicas=4)
         assert len({tuple(row) for row in outs}) == 4
 
+    def test_peak_memory_does_not_grow_with_k(self, rng):
+        # noise must be drawn in K-blocks, not materialised for all K steps
+        target = quadratic_target(np.zeros(100), make_spd(rng, 100))
+
+        def peak(K):
+            tracemalloc.start()
+            try:
+                final_states(target, LmcConfig(h=0.5 / target.M, K=K), np.zeros(100), replicas=16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(800), peak(8000)
+        assert abs(large - small) <= 0.1 * small, (small, large)
+
     def test_replica_count_validation(self, gauss2):
         with pytest.raises(ValueError, match="replicas"):
             final_states(gauss2, small_config(), np.zeros(2), replicas=0)
+
+
+class TestThreadCap:
+    def test_unset_variable_means_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(parallel_mod.ENV_THREADS, raising=False)
+        assert parallel_mod.thread_cap() == max(1, os.cpu_count() or 1)
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 3)
+        assert parallel_mod.thread_cap() == 3
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: None)
+        assert parallel_mod.thread_cap() == 1
 
 
 class TestTrajectoryIo:
