@@ -33,7 +33,9 @@ __all__ = [
     "noisy_lmc_bound",
     "baseline_bound",
     "lmc_value_small_step",
+    "lmc_terms_small_step",
     "baseline_value",
+    "baseline_terms",
     "init_w2_from_mean",
     "init_w2_from_f",
 ]
@@ -135,6 +137,12 @@ def contraction_factor(m: float, M: float, h: float) -> float:
     return M * h - 1.0
 
 
+def lmc_terms_small_step(m, M, h, p, w2_init):
+    """(coef, rate, floor) with lmc_value_small_step = coef * rate**K + floor, vectorized in h."""
+    h = np.asarray(h, dtype=float)
+    return w2_init, 1.0 - m * h, 1.82 * (M / m) * np.sqrt(h * p)
+
+
 def lmc_value_small_step(m, M, h, K, p, w2_init):
     """Exact-gradient bound value in the small-step regime, vectorized in h.
 
@@ -142,9 +150,9 @@ def lmc_value_small_step(m, M, h, K, p, w2_init):
     large grids; the scalar evaluator goes through the same arithmetic
     so grid search and spot checks agree to the last bit.
     """
-    h = np.asarray(h, dtype=float)
+    coef, rate, floor = lmc_terms_small_step(m, M, h, p, w2_init)
     with np.errstate(under="ignore"):
-        return (1.0 - m * h) ** K * w2_init + 1.82 * (M / m) * np.sqrt(h * p)
+        return rate**K * coef + floor
 
 
 def _lmc_value_large_step(m, M, h, K, p, w2_init):
@@ -243,6 +251,19 @@ def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundRepo
     return BoundReport(contraction + bias, regime, gamma, contraction, bias)
 
 
+def baseline_terms(m, M, h, p, w2_init):
+    """(coef, rate, floor) with baseline_value**2 = coef * rate**K + floor, vectorized in h."""
+    h = np.asarray(h, dtype=float)
+    s = m + M
+    floor = (
+        (M * h * p / m)
+        * s
+        * (h + s / (2.0 * m * M))
+        * (2.0 + M * M * h / m + M * M * h * h / 6.0)
+    )
+    return 2.0 * w2_init * w2_init, 1.0 - m * M * h / s, floor
+
+
 def baseline_value(m, M, h, K, p, w2_init):
     """Comparison bound value, vectorized in h.
 
@@ -253,17 +274,10 @@ def baseline_value(m, M, h, K, p, w2_init):
 
     and the square root is returned so units match the other bounds.
     """
-    h = np.asarray(h, dtype=float)
-    s = m + M
+    _, rate, floor = baseline_terms(m, M, h, p, w2_init)
+    # 2 * rate**K * w2^2 in this order, not coef * rate**K: same rounding as the stated form
     with np.errstate(under="ignore"):
-        contraction_sq = 2.0 * (1.0 - m * M * h / s) ** K * w2_init * w2_init
-        bias_sq = (
-            (M * h * p / m)
-            * s
-            * (h + s / (2.0 * m * M))
-            * (2.0 + M * M * h / m + M * M * h * h / 6.0)
-        )
-        return np.sqrt(contraction_sq + bias_sq)
+        return np.sqrt(2.0 * rate**K * w2_init * w2_init + floor)
 
 
 def baseline_bound(inputs: BoundInputs) -> float:

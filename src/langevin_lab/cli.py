@@ -18,6 +18,7 @@ at run time.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -382,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure1", help="iteration-count comparison curves")
     p_fig.add_argument("--m", type=_positive_float, default=4.0, help="strong convexity")
     p_fig.add_argument("--M", type=_positive_float, default=5.0, help="gradient Lipschitz")
-    p_fig.add_argument("--eps", type=_positive_float_list, default=[0.1, 0.3],
+    p_fig.add_argument("--eps", type=_positive_float_list, default=(0.1, 0.3),
                        help="comma-separated precisions")
-    p_fig.add_argument("--p-values", type=_positive_int_list, default=[10, 100, 1000, 10000],
+    p_fig.add_argument("--p-values", type=_positive_int_list, default=(10, 100, 1000, 10000),
                        help="comma-separated dimensions")
     p_fig.add_argument("--grid-size", type=_positive_int, default=DEFAULT_GRID_SIZE,
                        help="step-grid resolution")
@@ -400,9 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use, not at import, and reused by every later call:
+# parsing never mutates it, and its list defaults are immutable tuples.
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

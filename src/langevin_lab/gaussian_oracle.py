@@ -86,6 +86,19 @@ def stationary_moments(spec: QuadraticSpec) -> GaussianMoments:
     return GaussianMoments(spec.mean, (cov + cov.T) / 2.0)
 
 
+def _mode_factors(lam: np.ndarray, h, k):
+    """Per-eigenmode factors (g^k, noise variance) of the k-step law, g = 1 - h lam.
+
+    The noise variance 2h (1 - g^(2k)) / (1 - g^2) is formed with
+    1 - g^2 = h lam (2 - h lam) and expm1/log1p, so slowly mixing modes
+    keep full precision; at h lam = 2 (g^2 = 1) it is the limit 2hk.
+    """
+    d = h * lam * (2.0 - h * lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.where(d == 0.0, 2.0 * h * k, -2.0 * h * np.expm1(k * np.log1p(-d)) / d)
+    return (1.0 - h * lam) ** k, var
+
+
 def moments_after_k(
     spec: QuadraticSpec,
     init: GaussianMoments | np.ndarray,
@@ -94,14 +107,15 @@ def moments_after_k(
 ) -> GaussianMoments:
     """Exact law of the chain after k steps from a Gaussian start.
 
-    With E = I - hA the moments evolve as
+    E = I - hA shares the eigenvectors of A = V diag(lam) V', so with
+    g = 1 - h lam the recursion mean <- mean - hA(mean - mu),
+    cov <- E cov E' + 2h I has a closed form whose cost does not grow with k:
 
-        mean <- mean - h A (mean - mu)
-        cov  <- E cov E' + 2h I
+        mean_k = mu + V (g^k * V'(mean_0 - mu))
+        cov_k  = E^k cov_0 E^k + V diag(2h (1 - g^(2k)) / (1 - g^2)) V'
 
     A deterministic start may be passed as a plain vector.  h > 0 is
-    required; no constraint ties h to the curvature here, so transient
-    step sizes can be studied too.
+    required; transient step sizes (h lam > 2) are allowed.
     """
     if float(h) <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
@@ -112,16 +126,26 @@ def moments_after_k(
         init = point_mass(init)
     if init.dim != spec.dim:
         raise ValueError(f"init has dimension {init.dim} but the target has dimension {spec.dim}")
-    A, mu = spec.precision, spec.mean
-    E = np.eye(spec.dim) - h * A
-    two_h = 2.0 * h * np.eye(spec.dim)
-    mean = init.mean.copy()
-    cov = init.cov.copy()
-    for _ in range(k):
-        mean = mean - h * (A @ (mean - mu))
-        cov = E @ cov @ E.T + two_h
-        cov = (cov + cov.T) / 2.0
-    return GaussianMoments(mean, cov)
+    if k == 0:
+        return init
+    lam, V = np.linalg.eigh(spec.precision)
+    gk, var = _mode_factors(lam, float(h), k)
+    mean = spec.mean + V @ (gk * (V.T @ (init.mean - spec.mean)))
+    cov = V @ (gk[:, None] * (V.T @ init.cov @ V) * gk + np.diag(var)) @ V.T
+    return GaussianMoments(mean, (cov + cov.T) / 2.0)
+
+
+def _point_start_w2(spec: QuadraticSpec, theta0: np.ndarray, hs: np.ndarray, ks) -> np.ndarray:
+    """Exact W2 to the target of the k-step law from a point start, shape (len(ks), len(hs)).
+
+    Both covariances are diagonal in the precision's eigenbasis, so the
+    Gaussian W2 (Gelbrich 1990) is an O(p) sum per (k, h):
+    ||g^k * z0||^2 + sum_i (sqrt(var_i) - 1/sqrt(lam_i))^2, z0 = V'(theta0 - mu).
+    """
+    lam, V = np.linalg.eigh(spec.precision)
+    z0 = V.T @ (np.asarray(theta0, dtype=float) - spec.mean)
+    gk, var = _mode_factors(lam, np.asarray(hs, dtype=float)[None, :, None], np.asarray(ks)[:, None, None])
+    return np.sqrt(np.sum((gk * z0) ** 2 + (np.sqrt(var) - 1.0 / np.sqrt(lam)) ** 2, axis=-1))
 
 
 def _psd_sqrt(S: np.ndarray) -> np.ndarray:

@@ -9,19 +9,21 @@ what the head-to-head comparison curves are built from.
 
 Grid searches are resolved in two stages: a coarse geometric sweep over
 the admissible range, then an equally sized local grid around the best
-coarse step.  The feasibility predicate is monotone in K, so the
-minimal K on a fixed grid is unique and binary search finds it.
+coarse step.  On each step a bound is coef * rate^K + floor (in its
+stated power), so the smallest K a step certifies is a logarithm; the
+grid's minimum of those is confirmed on the bound itself at K and K - 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .bounds import baseline_value, BoundInputs, init_w2_from_mean, lmc_bound, lmc_value_small_step
+from .bounds import BoundInputs, baseline_terms, baseline_value, init_w2_from_mean, lmc_bound
+from .bounds import lmc_terms_small_step, lmc_value_small_step
 from .parallel import parallel_map
 
 __all__ = [
@@ -189,66 +191,56 @@ def _validate_grid(h_grid: Optional[np.ndarray], m: float, M: float) -> np.ndarr
     return grid
 
 
-def _smallest_feasible_k(
-    value: ValueFn,
-    m: float,
-    M: float,
-    p: int,
-    w2_init: float,
-    epsilon: float,
-    grid: np.ndarray,
-    k_cap: int,
-) -> Optional[int]:
-    def feasible(K: int) -> bool:
-        with np.errstate(under="ignore"):
-            return bool((value(m, M, grid, float(K), p, w2_init) <= epsilon).any())
-
-    if not feasible(k_cap):
-        return None
-    if feasible(0):
-        return 0
-    lo, hi = 0, k_cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _minimal_k(
-    value: ValueFn,
-    m: float,
-    M: float,
-    p: int,
-    w2_init: float,
-    epsilon: float,
-    h_grid: Optional[np.ndarray],
-    k_cap: int,
+    value: ValueFn, terms: Callable[..., tuple], power: int,
+    m: float, M: float, p: int, w2_init: float, epsilon: float,
+    h_grid: Optional[np.ndarray], k_cap: int,
 ) -> int:
     _check_common(m, M, p, w2_init, epsilon)
     p = int(p)
     grid = _validate_grid(h_grid, m, M)
-    k1 = _smallest_feasible_k(value, m, M, p, w2_init, epsilon, grid, k_cap)
-    if k1 is None:
+
+    def values(g: np.ndarray, K: int) -> np.ndarray:
         with np.errstate(under="ignore"):
-            floor = float(value(m, M, grid, float(k_cap), p, w2_init).min())
-        raise UnreachablePrecisionError(epsilon, floor, k_cap)
+            return value(m, M, g, float(K), p, w2_init)
+
+    def feasible(g: np.ndarray, K: int) -> bool:
+        return bool((values(g, K) <= epsilon).any())
+
+    def smallest(g: np.ndarray, cap: int) -> Optional[int]:
+        # after rounding the logarithm may be a step off: it only seeds the exact bracket
+        coef, rate, floor = terms(m, M, g, p, w2_init)
+        slack = epsilon**power - floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.maximum(np.ceil(np.log(coef / slack) / -np.log(np.maximum(rate, 0.0))), 1.0)
+            k_h = np.where(coef <= slack, 0.0, np.where((slack > 0.0) & (rate < 1.0), steps, np.inf))
+        lo, hi, stride = -1, int(min(float(k_h.min()), cap)), 1
+        while not feasible(g, hi):
+            if hi >= cap:
+                return None
+            lo, hi, stride = hi, min(hi + stride, cap), 2 * stride
+        if lo < 0 < hi and not feasible(g, hi - 1):
+            lo = hi - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if feasible(g, mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    k1 = smallest(grid, k_cap)
+    if k1 is None:
+        raise UnreachablePrecisionError(epsilon, float(values(grid, k_cap).min()), k_cap)
     if k1 == 0:
         return 0
     # refine locally around the best coarse step with an equally dense grid
-    n = grid.size
-    boundary = 2.0 / (m + M)
-    with np.errstate(under="ignore"):
-        vals = value(m, M, grid, float(k1), p, w2_init)
-    i = int(np.argmin(vals))
+    i = int(np.argmin(values(grid, k1)))
     lo_h = grid[max(0, i - 2)]
-    hi_h = min(grid[min(n - 1, i + 2)], boundary)
+    hi_h = min(grid[min(grid.size - 1, i + 2)], 2.0 / (m + M))
     if not lo_h < hi_h:
         return k1
-    local = np.geomspace(lo_h, hi_h, n)
-    k2 = _smallest_feasible_k(value, m, M, p, w2_init, epsilon, local, k1)
+    k2 = smallest(np.geomspace(lo_h, hi_h, grid.size), k1)
     return k1 if k2 is None else min(k1, k2)
 
 
@@ -263,7 +255,7 @@ def minimal_k_lmc(
 ) -> int:
     """Smallest K such that some grid step certifies W2 error <= epsilon
     under the exact-gradient chain bound."""
-    return _minimal_k(lmc_value_small_step, m, M, p, w2_init, epsilon, h_grid, k_cap)
+    return _minimal_k(lmc_value_small_step, lmc_terms_small_step, 1, m, M, p, w2_init, epsilon, h_grid, k_cap)
 
 
 def minimal_k_baseline(
@@ -276,7 +268,7 @@ def minimal_k_baseline(
     k_cap: int = DEFAULT_K_CAP,
 ) -> int:
     """Smallest K certified by the squared-form comparison bound."""
-    return _minimal_k(baseline_value, m, M, p, w2_init, epsilon, h_grid, k_cap)
+    return _minimal_k(baseline_value, baseline_terms, 2, m, M, p, w2_init, epsilon, h_grid, k_cap)
 
 
 def figure1_curves(

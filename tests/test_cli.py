@@ -261,6 +261,31 @@ class TestValidateCommand:
         assert out.count(": ok") == 5
 
 
+def test_parser_is_built_once_and_calls_share_no_state(quad_target_file, tmp_path, monkeypatch):
+    from langevin_lab import cli
+
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    first, second = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    fig_a, fig_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sample", "--target", str(quad_target_file), "--h", "0.05", "--K", "3",
+                 "--seed", "7", "--init", "1,2", "--out", str(first)]) == 0
+    assert main(["figure1", "--m", "2", "--M", "6", "--eps", "0.5", "--p-values", "3",
+                 "--grid-size", "300", "--out", str(fig_a)]) == 0
+    assert main(["sample", "--target", str(quad_target_file), "--h", "0.05", "--K", "3",
+                 "--out", str(second)]) == 0
+    assert main(["figure1", "--out", str(fig_b)]) == 0
+    assert built == [1]
+    sample = read_manifest(second)["parameters"]
+    assert (sample["seed"], sample["init"]) == (0, None)
+    assert read_manifest(fig_b)["parameters"] == {
+        "m": 4.0, "M": 5.0, "eps": [0.1, 0.3], "p_values": [10, 100, 1000, 10000],
+        "grid_size": 10_000, "span": 1e9,
+    }
+
+
 def test_module_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "langevin_lab", "--version"],

@@ -85,6 +85,76 @@ class TestMoments:
         np.testing.assert_allclose(pi.cov @ A, np.eye(4), atol=1e-10)
 
 
+def _step_recursion(spec, init, h, k):
+    """The chain's moment recursion, one step at a time (reference)."""
+    A, mu = spec.precision, spec.mean
+    E = np.eye(spec.dim) - h * A
+    mean, cov = init.mean.copy(), init.cov.copy()
+    for _ in range(k):
+        mean = mean - h * (A @ (mean - mu))
+        cov = E @ cov @ E.T + 2.0 * h * np.eye(spec.dim)
+    return mean, cov
+
+
+def _assert_law_matches_recursion(spec, init, h, k):
+    got = moments_after_k(spec, init, h, k)
+    mean, cov = _step_recursion(spec, init, h, k)
+    scale = max(float(np.abs(cov).max()), float(np.abs(mean).max()), 1.0)
+    np.testing.assert_allclose(got.mean, mean, rtol=1e-9, atol=1e-10 * scale)
+    np.testing.assert_allclose(got.cov, cov, rtol=1e-9, atol=1e-10 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 5),
+    k=st.integers(1, 40),
+    step=st.floats(0.01, 1.3),
+    gaussian_start=st.booleans(),
+)
+def test_spectral_law_matches_step_recursion(seed, p, k, step, gaussian_start):
+    # step > 1 puts h above 2/lam_max, where the top modes grow (transient)
+    r = philox(seed, 80)
+    A = make_spd(r, p, 0.5, 8.0)
+    spec = QuadraticSpec(r.standard_normal(p), A)
+    h = step * 2.0 / float(np.linalg.eigvalsh(A)[-1])
+    theta0 = spec.mean + 3.0 * r.standard_normal(p)
+    init = GaussianMoments(theta0, make_spd(r, p, 0.1, 3.0)) if gaussian_start else point_mass(theta0)
+    _assert_law_matches_recursion(spec, init, h, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lams=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]), min_size=1, max_size=4),
+    pick=st.integers(0, 3),
+    k=st.integers(1, 40),
+    gaussian_start=st.booleans(),
+)
+def test_spectral_law_at_h_lambda_two(lams, pick, k, gaussian_start):
+    # h * lam = 2 exactly for one mode: g^2 = 1, and its noise variance
+    # is the limit 2hk rather than 0/0
+    lam = float(lams[pick % len(lams)])
+    h = 2.0 / lam
+    assert h * lam == 2.0
+    spec = QuadraticSpec(np.arange(len(lams), dtype=float), np.diag(lams))
+    theta0 = spec.mean + 1.5
+    init = GaussianMoments(theta0, 0.5 * np.eye(len(lams))) if gaussian_start else point_mass(theta0)
+    got = moments_after_k(spec, init, h, k)
+    assert np.all(np.isfinite(got.cov))
+    _assert_law_matches_recursion(spec, init, h, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 5))
+def test_k_zero_returns_initial_law_exactly(seed, p):
+    r = philox(seed, 81)
+    spec = QuadraticSpec(r.standard_normal(p), make_spd(r, p))
+    init = GaussianMoments(r.standard_normal(p), make_spd(r, p, 0.1, 3.0))
+    got = moments_after_k(spec, init, 0.05, 0)
+    assert np.array_equal(got.mean, init.mean)
+    assert np.array_equal(got.cov, init.cov)
+
+
 class TestGaussianW2:
     def test_zero_on_identical_laws(self, rng):
         m = GaussianMoments(rng.standard_normal(3), make_spd(rng, 3))

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from langevin_lab.bounds import BoundInputs, baseline_bound, init_w2_from_mean, lmc_bound
+from langevin_lab.bounds import (
+    BoundInputs,
+    baseline_bound,
+    baseline_terms,
+    baseline_value,
+    init_w2_from_mean,
+    lmc_bound,
+    lmc_terms_small_step,
+    lmc_value_small_step,
+)
 from langevin_lab.planner import (
     CurvePoint,
+    _minimal_k,
     UnreachablePrecisionError,
     default_h_grid,
     figure1_curves,
@@ -14,6 +24,8 @@ from langevin_lab.planner import (
     minimal_k_lmc,
     plan_for_epsilon,
 )
+
+from test_acceptance import FROZEN_CURVES
 
 
 class TestDefaultGrid:
@@ -167,6 +179,90 @@ class TestMinimalK:
         coarse = minimal_k_lmc(m, M, p, w2, eps, h_grid=default_h_grid(m, M, size=10_000))
         fine = minimal_k_lmc(m, M, p, w2, eps, h_grid=default_h_grid(m, M, size=20_000))
         assert abs(coarse - fine) <= 1
+
+
+def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap):
+    """The two-stage search by bisection on the feasibility predicate (reference)."""
+
+    def smallest(g, cap):
+        def feasible(K):
+            with np.errstate(under="ignore"):
+                return bool((value(m, M, g, float(K), p, w2_init) <= epsilon).any())
+
+        if not feasible(cap):
+            return None
+        if feasible(0):
+            return 0
+        lo, hi = 0, cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    k1 = smallest(grid, k_cap)
+    if k1 is None:
+        with np.errstate(under="ignore"):
+            raise UnreachablePrecisionError(
+                epsilon, float(value(m, M, grid, float(k_cap), p, w2_init).min()), k_cap
+            )
+    if k1 == 0:
+        return 0
+    with np.errstate(under="ignore"):
+        i = int(np.argmin(value(m, M, grid, float(k1), p, w2_init)))
+    lo_h = grid[max(0, i - 2)]
+    hi_h = min(grid[min(grid.size - 1, i + 2)], 2.0 / (m + M))
+    if not lo_h < hi_h:
+        return k1
+    k2 = smallest(np.geomspace(lo_h, hi_h, grid.size), k1)
+    return k1 if k2 is None else min(k1, k2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.floats(0.05, 8.0),
+    ratio=st.floats(1.0, 30.0),
+    p=st.integers(1, 5_000),
+    w2=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+    eps=st.floats(0.005, 50.0),
+    grid_size=st.integers(1, 400),
+    span=st.floats(1.5, 1e9),
+    k_cap=st.one_of(st.integers(0, 50), st.just(10**12)),
+    skew=st.floats(0.3, 3.0),
+)
+def test_direct_search_equals_bisection(m, ratio, p, w2, eps, grid_size, span, k_cap, skew):
+    M = m * ratio
+    hi = 2.0 / (m + M)
+    grid = np.array([hi / span]) if grid_size == 1 else np.geomspace(hi / span, hi, grid_size)
+    for search, value, terms, power in (
+        (minimal_k_lmc, lmc_value_small_step, lmc_terms_small_step, 1),
+        (minimal_k_baseline, baseline_value, baseline_terms, 2),
+    ):
+        def skewed(*args, terms=terms):
+            # a closed-form seed off by the factor 1/skew must only cost probes
+            coef, rate, floor = terms(*args)
+            return coef, rate**skew, floor
+
+        searches = (
+            lambda: search(m, M, p, w2, eps, h_grid=grid, k_cap=k_cap),
+            lambda: _minimal_k(value, skewed, power, m, M, p, w2, eps, grid, k_cap),
+        )
+        try:
+            want = _bisection_minimal_k(value, m, M, p, w2, eps, grid, k_cap)
+        except UnreachablePrecisionError as err:
+            for run in searches:
+                with pytest.raises(UnreachablePrecisionError) as got:
+                    run()
+                assert got.value.bound_infimum == err.bound_infimum
+        else:
+            assert [run() for run in searches] == [want, want]
+
+
+def test_figure1_reproduces_all_frozen_curves():
+    pts = figure1_curves(4.0, 5.0, [0.1, 0.3], [10, 100, 1000, 10000])
+    assert {(c.epsilon, c.p): (c.k_lmc, c.k_baseline) for c in pts} == FROZEN_CURVES
 
 
 class TestCurvePoint:

@@ -28,6 +28,14 @@ class TestIndividualChecks:
         assert r.cells == 2 * 4 * 8 * 4
         assert r.worst <= 0.0
 
+    def test_bound_validity_at_planner_horizons(self):
+        # the planner certifies K in the 1e5-1e7 range; the exact law at
+        # those horizons is as cheap as at K = 1
+        r = check_lmc_bound_validity(seed=0, checkpoints=(10**5, 10**6, 10**7))
+        assert r.passed, r.detail
+        assert r.cells == 4 * 10 * 20 * 3
+        assert r.worst <= 0.0
+
     def test_regime_continuity_passes(self):
         r = check_regime_continuity(seed=0, trials=50)
         assert r.passed, r.detail
