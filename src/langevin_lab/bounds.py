@@ -123,6 +123,38 @@ class BoundReport:
         }
 
 
+def _check_step(h: float, M: float) -> None:
+    if not (0.0 < h < 2.0 / M):
+        raise ValueError(f"step size h must lie in (0, 2/M) = (0, {2.0 / M:.6g}), got {h}")
+
+
+def _regime(m: float, M: float, h: float, regime: str | None = None) -> str:
+    """The branch to evaluate: by h when regime is None, else regime checked against h."""
+    boundary = 2.0 / (m + M)
+    if regime is None:
+        return SMALL_STEP if h <= boundary else LARGE_STEP
+    if regime == SMALL_STEP and h > boundary:
+        raise ValueError(f"regime '{SMALL_STEP}' requires h <= 2/(m+M) = {boundary:.6g}, got h={h}")
+    if regime == LARGE_STEP and h < boundary:
+        raise ValueError(f"regime '{LARGE_STEP}' requires h >= 2/(m+M) = {boundary:.6g}, got h={h}")
+    if regime not in (SMALL_STEP, LARGE_STEP):
+        raise ValueError(f"unknown regime {regime!r}")
+    return regime
+
+
+def _lmc_terms(m, M, h, p, regime):
+    """(gamma, bias) of the exact-gradient bound in one regime; h is a float or an array.
+
+    math.sqrt and np.sqrt both round correctly, so a float h and the
+    same h in an array give the same bits; floats skip numpy's overhead.
+    """
+    if regime == SMALL_STEP:
+        gamma, scale = 1.0 - m * h, M / m
+    else:
+        gamma, scale = M * h - 1.0, M * h / (2.0 - M * h)
+    return gamma, 1.82 * scale * (math.sqrt(h * p) if isinstance(h, float) else np.sqrt(h * p))
+
+
 def contraction_factor(m: float, M: float, h: float) -> float:
     """Per-step W2 contraction factor of the exact-gradient chain.
 
@@ -130,17 +162,13 @@ def contraction_factor(m: float, M: float, h: float) -> float:
     [0, 1) on the admissible range 0 < h < 2/M.
     """
     _check_curvature(m, M)
-    if not (0.0 < h < 2.0 / M):
-        raise ValueError(f"step size h must lie in (0, 2/M) = (0, {2.0 / M:.6g}), got {h}")
-    if h <= 2.0 / (m + M):
-        return 1.0 - m * h
-    return M * h - 1.0
+    _check_step(h, M)
+    return float(_lmc_terms(m, M, h, 1, _regime(m, M, h))[0])
 
 
 def lmc_terms_small_step(m, M, h, p, w2_init):
     """(coef, rate, floor) with lmc_value_small_step = coef * rate**K + floor, vectorized in h."""
-    h = np.asarray(h, dtype=float)
-    return w2_init, 1.0 - m * h, 1.82 * (M / m) * np.sqrt(h * p)
+    return (w2_init, *_lmc_terms(m, M, np.asarray(h, dtype=float), p, SMALL_STEP))
 
 
 def lmc_value_small_step(m, M, h, K, p, w2_init):
@@ -155,10 +183,10 @@ def lmc_value_small_step(m, M, h, K, p, w2_init):
         return rate**K * coef + floor
 
 
-def _lmc_value_large_step(m, M, h, K, p, w2_init):
-    h = np.asarray(h, dtype=float)
-    with np.errstate(under="ignore"):
-        return (M * h - 1.0) ** K * w2_init + 1.82 * (M * h / (2.0 - M * h)) * np.sqrt(h * p)
+def _lmc_report(i: BoundInputs, regime: str) -> BoundReport:
+    gamma, bias = _lmc_terms(i.m, i.M, i.h, i.p, regime)
+    contraction = gamma**i.K * i.w2_init
+    return BoundReport(contraction + bias, regime, gamma, contraction, bias)
 
 
 def lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundReport:
@@ -175,39 +203,17 @@ def lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundReport:
     which is only legal where that branch is stated.
     """
     i = inputs
-    if not (0.0 < i.h < 2.0 / i.M):
-        raise ValueError(
-            f"step size h must lie in (0, 2/M) = (0, {2.0 / i.M:.6g}), got {i.h}"
-        )
-    boundary = i.boundary
-    at_boundary = i.h == boundary
-    if regime is None:
-        regime = SMALL_STEP if i.h <= boundary else LARGE_STEP
-    elif regime == SMALL_STEP and i.h > boundary:
-        raise ValueError(f"regime '{SMALL_STEP}' requires h <= 2/(m+M) = {boundary:.6g}, got h={i.h}")
-    elif regime == LARGE_STEP and i.h < boundary:
-        raise ValueError(f"regime '{LARGE_STEP}' requires h >= 2/(m+M) = {boundary:.6g}, got h={i.h}")
-    elif regime not in (SMALL_STEP, LARGE_STEP):
-        raise ValueError(f"unknown regime {regime!r}")
-
-    if regime == SMALL_STEP:
-        gamma = 1.0 - i.m * i.h
-        bias = 1.82 * (i.M / i.m) * math.sqrt(i.h * i.p)
-    else:
-        gamma = i.M * i.h - 1.0
-        bias = 1.82 * (i.M * i.h / (2.0 - i.M * i.h)) * math.sqrt(i.h * i.p)
-    contraction = gamma**i.K * i.w2_init
-    value = contraction + bias
-
-    if at_boundary:
-        other = float(_lmc_value_large_step(i.m, i.M, i.h, i.K, i.p, i.w2_init))
+    _check_step(i.h, i.M)
+    report = _lmc_report(i, _regime(i.m, i.M, i.h, regime))
+    if i.h == i.boundary:
+        value, other = report.value, _lmc_report(i, LARGE_STEP).value
         ref = max(abs(value), abs(other), 1e-300)
         if abs(value - other) > _BOUNDARY_AGREEMENT_RTOL * ref:
             raise RuntimeError(
                 f"regime branches disagree at the boundary step h={i.h}: "
                 f"{value!r} versus {other!r}"
             )
-    return BoundReport(value, regime, gamma, contraction, bias)
+    return report
 
 
 def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundReport:
@@ -227,16 +233,7 @@ def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundRepo
         raise ValueError(
             f"step size h must lie in (0, 2/M] = (0, {2.0 / i.M:.6g}], got {i.h}"
         )
-    boundary = i.boundary
-    if regime is None:
-        regime = SMALL_STEP if i.h <= boundary else LARGE_STEP
-    elif regime == SMALL_STEP and i.h > boundary:
-        raise ValueError(f"regime '{SMALL_STEP}' requires h <= 2/(m+M) = {boundary:.6g}, got h={i.h}")
-    elif regime == LARGE_STEP and i.h < boundary:
-        raise ValueError(f"regime '{LARGE_STEP}' requires h >= 2/(m+M) = {boundary:.6g}, got h={i.h}")
-    elif regime not in (SMALL_STEP, LARGE_STEP):
-        raise ValueError(f"unknown regime {regime!r}")
-
+    regime = _regime(i.m, i.M, i.h, regime)
     if regime == SMALL_STEP:
         gamma = 1.0 - i.m * i.h / 2.0
         bias = math.sqrt(2.0 * i.h * i.p / i.m) * math.sqrt(i.sigma**2 + 3.3 * i.M**2 / i.m)

@@ -45,6 +45,7 @@ from .sampler import (
     run_nlmc,
     trajectory_summary,
     trajectory_to_csv,
+    _write_theta_csv,
 )
 from .targets import load_target
 from .validation import run_all_checks
@@ -54,59 +55,38 @@ class UsageError(Exception):
     """Flag combination or value that cannot be acted on."""
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _number(cast, ok, requirement: str):
+    """Flag converter: cast the text, then require ok(value)."""
+    kind = "a number" if cast is float else "an integer"
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+
+    return convert
 
 
-def _nonnegative_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return value
+def _list_of(convert):
+    """Comma-separated flag converter applying convert to each part."""
+
+    def convert_list(text: str) -> list:
+        try:
+            return [convert(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+    return convert_list
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return value
-
-
-def _positive_float_list(text: str) -> list[float]:
-    return [_positive_float(part) for part in text.split(",") if part != ""]
-
-
-def _positive_int_list(text: str) -> list[int]:
-    return [_positive_int(part) for part in text.split(",") if part != ""]
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+_positive_float = _number(float, lambda v: v > 0.0 and math.isfinite(v), "must be positive")
+_nonnegative_float = _number(float, lambda v: v >= 0.0 and math.isfinite(v), "must be nonnegative")
+_positive_int = _number(int, lambda v: v >= 1, "must be at least 1")
+_nonnegative_int = _number(int, lambda v: v >= 0, "must be nonnegative")
 
 
 def _sha256(path: Path) -> str:
@@ -117,14 +97,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    anchor: Path, subcommand: str, parameters: dict, outputs: list[Path], started: float
-) -> Path:
+def _write_manifest(anchor: Path, args: argparse.Namespace, outputs: list[Path], started: float) -> Path:
+    """Write <anchor>.manifest.json: every parsed flag but --out, wall time and output digests."""
     manifest = {
         "tool": "langevin-lab",
         "version": __version__,
-        "subcommand": subcommand,
-        "parameters": parameters,
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "out")},
         "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": [
             {"path": out.name, "sha256": _sha256(out)} for out in outputs
@@ -170,34 +149,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
         initial = np.asarray(args.init, dtype=float)
 
     out = Path(args.out)
-    parameters = {
-        "target": str(args.target),
-        "h": args.h,
-        "K": args.K,
-        "seed": args.seed,
-        "oracle": args.oracle,
-        "sigma": args.sigma,
-        "batch": args.batch,
-        "noise": args.noise,
-        "replicas": args.replicas,
-        "init": None if args.init is None else list(args.init),
-    }
-
     if args.replicas == 1:
         runner = run_lmc if args.oracle == "exact" else run_nlmc
         traj = runner(target, config, initial)
         trajectory_to_csv(traj, out)
         summary_path = out.with_name(out.stem + ".summary.json")
         _write_json(summary_path, trajectory_summary(traj))
-        manifest = _write_manifest(out, "sample", parameters, [out, summary_path], started)
+        manifest = _write_manifest(out, args, [out, summary_path], started)
         print(f"wrote {out} and {summary_path} ({config.K} steps, dim {target.dim}); manifest {manifest}")
         return 0
 
     finals = final_states(target, config, initial, args.replicas)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("replica," + ",".join(f"theta_{j}" for j in range(target.dim)) + "\n")
-        for r, row in enumerate(finals):
-            fh.write(str(r) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    _write_theta_csv(out, "replica", finals)
     summary_path = out.with_name(out.stem + ".summary.json")
     _write_json(
         summary_path,
@@ -209,12 +172,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
             "sigma": args.sigma,
             "replicas": args.replicas,
             "final_mean": [float(x) for x in finals.mean(axis=0)],
-            "final_variance": [float(x) for x in finals.var(axis=0, ddof=1)]
-            if args.replicas > 1
-            else [0.0] * target.dim,
+            "final_variance": [float(x) for x in finals.var(axis=0, ddof=1)],
         },
     )
-    manifest = _write_manifest(out, "sample", parameters, [out, summary_path], started)
+    manifest = _write_manifest(out, args, [out, summary_path], started)
     print(
         f"wrote {out} and {summary_path} ({args.replicas} replicas, {config.K} steps); "
         f"manifest {manifest}"
@@ -241,17 +202,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.write_text(text + "\n", encoding="utf-8")
-        parameters = {
-            "kind": args.kind,
-            "m": args.m,
-            "M": args.M,
-            "h": args.h,
-            "K": args.K,
-            "p": args.p,
-            "w2init": args.w2init,
-            "sigma": args.sigma,
-        }
-        _write_manifest(out, "bound", parameters, [out], started)
+        _write_manifest(out, args, [out], started)
     return 0
 
 
@@ -267,14 +218,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.write_text(text + "\n", encoding="utf-8")
-        parameters = {
-            "m": args.m,
-            "M": args.M,
-            "p": args.p,
-            "eps": args.eps,
-            "w2init": args.w2init,
-        }
-        _write_manifest(out, "plan", parameters, [out], started)
+        _write_manifest(out, args, [out], started)
     return 0
 
 
@@ -304,15 +248,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
                 f"{point.p},{point.epsilon!r},{point.k_lmc},{point.k_baseline},"
                 f"{log_l!r},{log_b!r},{point.ratio!r}\n"
             )
-    parameters = {
-        "m": args.m,
-        "M": args.M,
-        "eps": list(args.eps),
-        "p_values": list(args.p_values),
-        "grid_size": args.grid_size,
-        "span": args.span,
-    }
-    manifest = _write_manifest(out, "figure1", parameters, [out], started)
+    manifest = _write_manifest(out, args, [out], started)
     print(f"wrote {out} ({len(points)} points); manifest {manifest}")
     return 0
 
@@ -355,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("--batch", type=_positive_int, default=1, help="subsample size")
     p_sample.add_argument("--replicas", type=_positive_int, default=1, help="independent chains")
-    p_sample.add_argument("--init", type=_float_list, default=None, help="comma-separated start")
+    p_sample.add_argument("--init", type=_list_of(float), default=None, help="comma-separated start")
     p_sample.add_argument("--out", default="sample.csv", help="output CSV path")
     p_sample.set_defaults(func=cmd_sample)
 
@@ -383,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure1", help="iteration-count comparison curves")
     p_fig.add_argument("--m", type=_positive_float, default=4.0, help="strong convexity")
     p_fig.add_argument("--M", type=_positive_float, default=5.0, help="gradient Lipschitz")
-    p_fig.add_argument("--eps", type=_positive_float_list, default=(0.1, 0.3),
+    p_fig.add_argument("--eps", type=_list_of(_positive_float), default=(0.1, 0.3),
                        help="comma-separated precisions")
-    p_fig.add_argument("--p-values", type=_positive_int_list, default=(10, 100, 1000, 10000),
+    p_fig.add_argument("--p-values", type=_list_of(_positive_int), default=(10, 100, 1000, 10000),
                        help="comma-separated dimensions")
     p_fig.add_argument("--grid-size", type=_positive_int, default=DEFAULT_GRID_SIZE,
                        help="step-grid resolution")

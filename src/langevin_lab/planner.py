@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .bounds import BoundInputs, baseline_terms, baseline_value, init_w2_from_mean, lmc_bound
-from .bounds import lmc_terms_small_step, lmc_value_small_step
+from .bounds import _check_curvature, lmc_terms_small_step, lmc_value_small_step
 from .parallel import parallel_map
 
 __all__ = [
@@ -104,8 +104,7 @@ class CurvePoint:
 
 
 def _check_common(m: float, M: float, p: int, w2_init: float, epsilon: float) -> None:
-    if not (0.0 < m <= M and math.isfinite(M)):
-        raise ValueError(f"curvature constants must satisfy 0 < m <= M < inf, got m={m}, M={M}")
+    _check_curvature(m, M)
     if int(p) < 1:
         raise ValueError(f"dimension p must be at least 1, got {p}")
     if not (w2_init >= 0.0 and math.isfinite(w2_init)):
@@ -123,8 +122,7 @@ def default_h_grid(
     the span covers nine decades by default so that tight precisions
     stay reachable in high dimension.
     """
-    if not (0.0 < m <= M and math.isfinite(M)):
-        raise ValueError(f"curvature constants must satisfy 0 < m <= M < inf, got m={m}, M={M}")
+    _check_curvature(m, M)
     if int(size) < 2:
         raise ValueError(f"grid size must be at least 2, got {size}")
     if not (float(span) > 1.0):

@@ -12,9 +12,9 @@ Reproducibility contract: every replica owns counter-based random
 streams keyed by (seed, replica, channel).  Drive noise xi, oracle
 noise zeta, and the initial draw live on separate channels, so changing
 the oracle never shifts the drive noise, and a noisy run with sigma = 0
-walks the exact same path as the exact-gradient run.  Every chain runs
-through one kernel that draws noise in blocks of steps, re-keying one
-Philox per replica, so noise buffers do not grow with K.
+walks the exact same path as the exact-gradient run.  Every chain or
+chunk of replicas, whatever the oracle, runs through one kernel that
+draws noise in blocks of steps, re-keying one Philox per replica.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def oracle_gradient(
 
     rng is the oracle's own channel and may be None only for the exact
     mode.  The subsampled mode handles single states only; replicated
-    subsampled runs iterate chains one by one.
+    runs call it once per replica row, each on that replica's stream.
     """
     state = np.asarray(state, dtype=float)
     if oracle.mode == "exact":
@@ -299,13 +299,12 @@ def _advance(theta, K, a, drift, b=0.0, seed=0, replicas=None, law=None, record=
 def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas: range, record=False):
     """Advance config's chain from theta, one state per replica (see _advance)."""
     oracle, h = config.oracle, config.h
-    if oracle.mode == "gaussian":
-        drift = lambda x, z: target.grad(x) + oracle.sigma * z
-    elif oracle.mode == "subsampled":
-        rng = noise_stream(config.seed, replicas.start, ZETA_STREAM)
-        drift = lambda x, z: oracle_gradient(target, oracle, x, rng)
-    else:
-        drift = lambda x, z: target.grad(x)
+    if oracle.mode == "subsampled":
+        rngs = [noise_stream(config.seed, r, ZETA_STREAM) for r in replicas]
+        grads = lambda x: [oracle_gradient(target, oracle, y, g) for y, g in zip(np.atleast_2d(x), rngs)]
+        drift = lambda x, z: np.reshape(grads(x), x.shape)
+    else:  # zeta_k is None for the exact oracle
+        drift = lambda x, z: target.grad(x) if z is None else target.grad(x) + oracle.sigma * z
     law = oracle.noise if oracle.mode == "gaussian" else None
     return _advance(theta, config.K, h, drift, math.sqrt(2.0 * h), config.seed, replicas, law, record)
 
@@ -406,18 +405,15 @@ def final_states(
     replica index up to floating-point reassociation in batched linear
     algebra; its noise streams are exactly the same.  Results do not
     depend on the thread cap, and prefixes agree across different
-    replica counts.  Exact and additive-noise oracles run vectorized
-    over chunks of replicas; each chunk re-keys one Philox per replica
-    and draws noise a block of steps at a time, so memory does not grow
-    with K.  The subsampled oracle falls back to one chain at a time.
+    replica counts.  Chains advance together in chunks of replicas;
+    each chunk re-keys one Philox per replica and draws noise a block of
+    steps at a time, so memory does not grow with K.  The subsampled
+    oracle draws each row's batch from that replica's own stream.
     """
     replicas = int(replicas)
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     _check_step_size(config.h, target)
-    if config.oracle.mode == "subsampled":
-        return np.stack(parallel_map(lambda r: _run_chain(target, config, initial, r).final, range(replicas)))
-
     seed = config.seed
     out = np.empty((replicas, target.dim))
     chunk = _chunk_rows(config.K, target.dim)
@@ -434,17 +430,20 @@ def final_states(
     return out
 
 
+def _write_theta_csv(path, index: str, rows: np.ndarray) -> None:
+    """CSV with header index,theta_0,...,theta_{p-1}; line i is i, then rows[i] by repr."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(index + "," + ",".join(f"theta_{j}" for j in range(rows.shape[1])) + "\n")
+        for i, row in enumerate(rows):  # row by row: a whole .tolist() would hold every float at once
+            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write iterates as CSV with header k,theta_0,...,theta_{p-1}.
 
     Floats are written with repr so the file round-trips bit for bit.
     """
-    p = traj.iterates.shape[1]
-    header = "k," + ",".join(f"theta_{j}" for j in range(p))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k, row in enumerate(traj.iterates):
-            fh.write(str(k) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+    _write_theta_csv(path, "k", traj.iterates)
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

@@ -247,3 +247,34 @@ def test_baseline_scalar_matches_vectorized(m, ratio, frac, k, p, w2):
     h = frac * 2.0 / (m + M)
     i = BoundInputs(m=m, M=M, h=h, K=k, p=p, w2_init=w2)
     assert baseline_bound(i) == float(baseline_value(m, M, h, k, p, w2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.floats(0.01, 10.0),
+    ratio=st.floats(1.0, 30.0),
+    frac=st.floats(1e-9, 1.0, exclude_max=True),
+    small=st.booleans(),
+    k=st.one_of(st.integers(0, 3), st.integers(0, 10**7)),
+    p=st.integers(1, 10**4),
+    w2=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+)
+def test_scalar_bound_is_the_vectorized_arithmetic_to_the_last_bit(m, ratio, frac, small, k, p, w2):
+    """lmc_bound, lmc_value_small_step and contraction_factor share one term function."""
+    M = m * ratio
+    boundary = 2.0 / (m + M)
+    h = frac * boundary if small else boundary + frac * (2.0 / M - boundary)
+    if not 0.0 < h < 2.0 / M:
+        return
+    report = lmc_bound(BoundInputs(m=m, M=M, h=h, K=k, p=p, w2_init=w2))
+    assert report.gamma == contraction_factor(m, M, h)
+    if h <= boundary:
+        assert report.value == float(lmc_value_small_step(m, M, h, k, p, w2))
+    # both branches are stated at the boundary; each forced one is its own formula
+    at = BoundInputs(m=m, M=M, h=boundary, K=k, p=p, w2_init=w2)
+    forced_small = lmc_bound(at, regime=SMALL_STEP)
+    assert forced_small == lmc_bound(at)
+    assert forced_small.value == float(lmc_value_small_step(m, M, boundary, k, p, w2))
+    assert forced_small.gamma == contraction_factor(m, M, boundary) == 1.0 - m * boundary
+    forced_large = lmc_bound(at, regime=LARGE_STEP)
+    assert forced_large.regime == LARGE_STEP and forced_large.gamma == M * boundary - 1.0

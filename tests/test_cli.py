@@ -286,6 +286,40 @@ def test_parser_is_built_once_and_calls_share_no_state(quad_target_file, tmp_pat
     }
 
 
+def test_manifest_parameters_record_every_parsed_flag(quad_target_file, tmp_path):
+    target = str(quad_target_file)
+    sample = {"target": target, "h": 0.05, "K": 4, "seed": 2, "oracle": "gaussian", "sigma": 0.5,
+              "batch": 1, "noise": "rademacher", "init": [0.5, -1.0]}
+    flags = ["--target", target, "--h", "0.05", "--K", "4", "--seed", "2", "--oracle", "gaussian",
+             "--sigma", "0.5", "--noise", "rademacher", "--init", "0.5,-1"]
+    for replicas in (1, 6):
+        out = tmp_path / f"s{replicas}.csv"
+        assert main(["sample", *flags, "--replicas", str(replicas), "--out", str(out)]) == 0
+        assert read_manifest(out)["parameters"] == {**sample, "replicas": replicas}
+    out = tmp_path / "defaults.csv"
+    assert main(["sample", "--target", target, "--h", "0.1", "--K", "2", "--out", str(out)]) == 0
+    assert read_manifest(out)["parameters"] == {
+        "target": target, "h": 0.1, "K": 2, "seed": 0, "oracle": "exact", "sigma": 0.0,
+        "batch": 1, "noise": "gaussian", "replicas": 1, "init": None,
+    }
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--kind", "noisy", "--m", "4", "--M", "5", "--h", "0.1", "--K", "3",
+                 "--p", "2", "--w2init", "1.5", "--sigma", "0.25", "--out", str(out)]) == 0
+    assert read_manifest(out)["parameters"] == {
+        "kind": "noisy", "m": 4.0, "M": 5.0, "h": 0.1, "K": 3, "p": 2, "w2init": 1.5, "sigma": 0.25,
+    }
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "0.1",
+                 "--w2init", "2", "--out", str(out)]) == 0
+    assert read_manifest(out)["parameters"] == {"m": 4.0, "M": 5.0, "p": 10, "eps": 0.1, "w2init": 2.0}
+    out = tmp_path / "fig.csv"
+    assert main(["figure1", "--m", "2", "--M", "6", "--eps", "0.5,1.0", "--p-values", "1,2",
+                 "--grid-size", "200", "--span", "1e6", "--out", str(out)]) == 0
+    assert read_manifest(out)["parameters"] == {
+        "m": 2.0, "M": 6.0, "eps": [0.5, 1.0], "p_values": [1, 2], "grid_size": 200, "span": 1e6,
+    }
+
+
 def test_module_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "langevin_lab", "--version"],

@@ -411,6 +411,19 @@ class TestFinalStates:
             single = run_nlmc(logit, cfg, np.zeros(3), replica=r).final
             assert np.array_equal(outs[r], single)
 
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_subsampled_replicas_ride_the_chunked_kernel(self, logit, monkeypatch, chunk, threads):
+        # each row draws its batch from its replica's own stream, so chunking,
+        # threads and the replica count cannot change a replica's chain
+        cfg = LmcConfig(h=0.02, K=15, seed=8, oracle=GradientOracle(mode="subsampled", batch=5))
+        singles = np.stack([run_nlmc(logit, cfg, np.zeros(3), replica=r).final for r in range(7)])
+        if chunk is not None:
+            monkeypatch.setattr(sampler_mod, "_chunk_rows", lambda K, p: chunk)
+        monkeypatch.setenv("LANGEVIN_LAB_THREADS", threads)
+        assert np.array_equal(final_states(logit, cfg, np.zeros(3), replicas=7), singles)
+        assert np.array_equal(final_states(logit, cfg, np.zeros(3), replicas=4), singles[:4])
+
     def test_callable_initial_per_replica(self, gauss2):
         cfg = small_config(K=0)
         outs = final_states(gauss2, cfg, lambda g: g.standard_normal(2), replicas=4)
