@@ -122,7 +122,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.sigma > 0.0 and args.oracle == "exact":
         raise UsageError("--sigma requires a noisy oracle; pass --oracle gaussian")
-    target = load_target(args.target)
+    try:
+        target = load_target(args.target)
+    except ValueError as exc:  # the file's contents, not its absence (OSError, exit 1)
+        raise UsageError(f"{args.target}: {exc}") from None
     if args.oracle == "subsampled":
         if target.parts is None:
             raise UsageError(

@@ -9,6 +9,10 @@ of steps has closed-form moments, and the Wasserstein-2 distance
 between two Gaussians is available in closed form as well.  Everything
 here is deterministic linear algebra; it is the yardstick the error
 bounds are validated against.
+
+The target law and every k-step law from a point start are diagonal in
+the precision's eigenbasis, which each ``QuadraticSpec`` computes once
+(``spec.eigenbasis``); W2 between two such laws is an O(p) sum.
 """
 
 from __future__ import annotations
@@ -39,11 +43,15 @@ class GaussianMoments:
 
     The covariance must be symmetric and positive semidefinite up to a
     small tolerance; eigenvalues in [-tol, 0) are clamped to zero so
-    point masses and freshly iterated covariances round-trip cleanly.
+    nearly singular covariances round-trip cleanly.  The laws this module
+    builds (point masses, and V diag(var) V' in a target's eigenbasis,
+    kept as ``_modes = (V, var)``) are PSD by construction and skip that
+    eigendecomposition.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    _modes = None  # (eigenbasis, per-mode variances) on laws from _eigen_law
 
     def __post_init__(self) -> None:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -71,19 +79,35 @@ class GaussianMoments:
         return self.mean.size
 
 
+def _trusted_law(mean: np.ndarray, cov: np.ndarray, modes=None) -> GaussianMoments:
+    """A law whose covariance is PSD by construction, so it skips the eigh check."""
+    law = object.__new__(GaussianMoments)
+    object.__setattr__(law, "mean", mean)
+    object.__setattr__(law, "cov", cov)
+    object.__setattr__(law, "_modes", modes)
+    return law
+
+
+def _eigen_law(mean: np.ndarray, V: np.ndarray, var: np.ndarray) -> GaussianMoments:
+    """N(mean, V diag(var) V') for a spec's cached eigenbasis V and var >= 0."""
+    cov = (V * var) @ V.T
+    return _trusted_law(mean, (cov + cov.T) / 2.0, (V, var))
+
+
 def point_mass(theta: np.ndarray) -> GaussianMoments:
     """Degenerate law concentrated at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return GaussianMoments(theta, np.zeros((theta.size, theta.size)))
+    if theta.ndim != 1:
+        raise ValueError(f"mean must be a vector, got shape {theta.shape}")
+    return _trusted_law(theta, np.zeros((theta.size, theta.size)))
 
 
 def stationary_moments(spec: QuadraticSpec) -> GaussianMoments:
     """Moments of the target density itself: N(mean, precision^{-1})."""
-    w, V = np.linalg.eigh(spec.precision)
+    w, V = spec.eigenbasis
     if w[0] <= 0.0:
         raise ValueError(f"precision must be positive definite; smallest eigenvalue is {w[0]:.6e}")
-    cov = (V / w) @ V.T
-    return GaussianMoments(spec.mean, (cov + cov.T) / 2.0)
+    return _eigen_law(spec.mean, V, 1.0 / w)
 
 
 def _mode_factors(lam: np.ndarray, h, k):
@@ -115,7 +139,9 @@ def moments_after_k(
         cov_k  = E^k cov_0 E^k + V diag(2h (1 - g^(2k)) / (1 - g^2)) V'
 
     A deterministic start may be passed as a plain vector.  h > 0 is
-    required; transient step sizes (h lam > 2) are allowed.
+    required; transient step sizes (h lam > 2) are allowed.  From a
+    point start, or a start law already in the target's eigenbasis, the
+    result stays in that basis with per-mode variances g^2k var_0 + var.
     """
     if float(h) <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
@@ -128,9 +154,13 @@ def moments_after_k(
         raise ValueError(f"init has dimension {init.dim} but the target has dimension {spec.dim}")
     if k == 0:
         return init
-    lam, V = np.linalg.eigh(spec.precision)
+    lam, V = spec.eigenbasis
     gk, var = _mode_factors(lam, float(h), k)
     mean = spec.mean + V @ (gk * (V.T @ (init.mean - spec.mean)))
+    if init._modes is not None and init._modes[0] is V:
+        return _eigen_law(mean, V, gk * gk * init._modes[1] + var)
+    if not init.cov.any():
+        return _eigen_law(mean, V, var)
     cov = V @ (gk[:, None] * (V.T @ init.cov @ V) * gk + np.diag(var)) @ V.T
     return GaussianMoments(mean, (cov + cov.T) / 2.0)
 
@@ -142,7 +172,7 @@ def _point_start_w2(spec: QuadraticSpec, theta0: np.ndarray, hs: np.ndarray, ks)
     Gaussian W2 (Gelbrich 1990) is an O(p) sum per (k, h):
     ||g^k * z0||^2 + sum_i (sqrt(var_i) - 1/sqrt(lam_i))^2, z0 = V'(theta0 - mu).
     """
-    lam, V = np.linalg.eigh(spec.precision)
+    lam, V = spec.eigenbasis
     z0 = V.T @ (np.asarray(theta0, dtype=float) - spec.mean)
     gk, var = _mode_factors(lam, np.asarray(hs, dtype=float)[None, :, None], np.asarray(ks)[:, None, None])
     return np.sqrt(np.sum((gk * z0) ** 2 + (np.sqrt(var) - 1.0 / np.sqrt(lam)) ** 2, axis=-1))
@@ -161,11 +191,16 @@ def gaussian_w2(a: GaussianMoments, b: GaussianMoments) -> float:
 
     Symmetric eigendecompositions keep the cross term stable; the
     squared distance is floored at zero before the final square root to
-    absorb roundoff on nearly identical inputs.
+    absorb roundoff on nearly identical inputs.  Two laws in the same
+    target eigenbasis commute, so the trace term is the O(p) sum
+    sum_i (sqrt(var_a_i) - sqrt(var_b_i))^2 (Gelbrich 1990).
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} versus {b.dim}")
     delta = a.mean - b.mean
+    if a._modes is not None and b._modes is not None and a._modes[0] is b._modes[0]:
+        gap = np.sqrt(a._modes[1]) - np.sqrt(b._modes[1])
+        return math.sqrt(float(delta @ delta) + float(gap @ gap))
     root_b = _psd_sqrt(b.cov)
     cross = _psd_sqrt(root_b @ a.cov @ root_b)
     w2_sq = float(delta @ delta) + float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))

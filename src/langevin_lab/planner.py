@@ -147,6 +147,11 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     boundary = 2.0 / (m + M)
     h = min(h_bias, boundary)
     binding = "bias" if h < boundary else "boundary"
+    if not 1.0 - m * h < 1.0:
+        raise ValueError(
+            f"epsilon={epsilon:g} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) "
+            f"= {h:g} leaves the contraction factor 1 - m h at 1 in floating point"
+        )
     if 2.0 * w2_init <= epsilon:
         K = 0
     else:

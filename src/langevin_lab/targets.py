@@ -14,12 +14,13 @@ and vectorize over the leading axis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "QuadraticSpec",
@@ -37,37 +38,66 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite entry of ``values``."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), values.shape)
+        where = ", ".join(str(int(i)) for i in idx)
+        raise ValueError(f"{name}[{where}] must be finite, got {float(values[idx])}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticSpec:
     """Quadratic potential f(x) = (1/2) (x - mean)' precision (x - mean).
 
     The matching density is Gaussian with the given mean and covariance
     precision^{-1}, which is what makes closed-form reference
-    calculations possible.
+    calculations possible.  ``mean`` and ``precision`` are private,
+    read-only copies, so the cached ``eigenbasis`` always describes
+    the matrix the spec holds.
     """
 
     mean: np.ndarray
     precision: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = np.array(self.mean, dtype=float, ndmin=1)
         prec = np.asarray(self.precision, dtype=float)
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        _require_finite("mean", mean)
         if prec.shape != (mean.size, mean.size):
             raise ValueError(
                 f"precision must have shape {(mean.size, mean.size)}, got {prec.shape}"
             )
+        _require_finite("precision", prec)
         asym = float(np.abs(prec - prec.T).max()) if prec.size else 0.0
         scale = max(float(np.abs(prec).max()), 1.0) if prec.size else 1.0
         if asym > _SYM_TOL * scale:
             raise ValueError(f"precision is not symmetric: max |A - A'| = {asym:.3e}")
+        prec = (prec + prec.T) / 2.0
+        mean.flags.writeable = False
+        prec.flags.writeable = False
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "precision", (prec + prec.T) / 2.0)
+        object.__setattr__(self, "precision", prec)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(precision)``, computed once per spec and read-only.
+
+        Every exact law of the chain on this target is diagonal in this
+        basis; the Gaussian oracle recognises such laws by the identity
+        of the returned eigenvector array.
+        """
+        lam, V = np.linalg.eigh(self.precision)
+        lam.flags.writeable = False
+        V.flags.writeable = False
+        return lam, V
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +196,15 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     per-observation gradients cover the data term and the ridge part is
     treated as the exactly-computed common term.
     """
+    # scipy is imported here, not at module level: it is the slowest
+    # import of the package and only logistic targets use it.
+    from scipy.special import expit
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-d design matrix, got shape {X.shape}")
+    _require_finite("X", X)
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError(f"y must have shape ({n},) to match X, got {y.shape}")
@@ -178,8 +213,8 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
         i = int(np.argmax(bad))
         raise ValueError(f"labels must be 0 or 1; y[{i}] = {y[i]}")
     ridge = float(ridge)
-    if ridge <= 0.0:
-        raise ValueError(f"ridge must be positive (it supplies strong convexity), got {ridge}")
+    if not 0.0 < ridge < math.inf:
+        raise ValueError(f"ridge must be positive (it supplies strong convexity) and finite, got {ridge}")
     gram_top = float(np.linalg.eigvalsh(X.T @ X)[-1])
     m = ridge
     M = ridge + 0.25 * gram_top

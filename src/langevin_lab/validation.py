@@ -22,7 +22,9 @@ from .bounds import (
     noisy_lmc_bound,
 )
 # gaussian_w2 and stationary_moments are unused here but stay module
-# attributes: perfbench/tracing.py wraps them by name.
+# attributes: perfbench/tracing.py patches them by name, so without them
+# every `--trace 1` benchmark run stops with AttributeError.  They can go
+# once the tracer no longer looks them up.
 from .gaussian_oracle import _point_start_w2, gaussian_w2, stationary_moments, w2_init_exact  # noqa: F401
 from .targets import quadratic_target
 

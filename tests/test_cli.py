@@ -68,6 +68,28 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"type": "quadratic", "mean": [1.0, float("nan")], "precision": [[2.0, 0.5], [0.5, 1.0]]},
+         "mean[1] must be finite, got nan"),
+        ({"type": "quadratic", "mean": [1.0, -1.0], "precision": [[2.0, float("nan")], [float("nan"), 1.0]]},
+         "precision[0, 1] must be finite, got nan"),
+        ({"type": "logistic", "X": [[1.0, 0.0], [0.0, float("inf")]], "y": [0, 1], "ridge": 0.5},
+         "X[1, 1] must be finite, got inf"),
+    ])
+    def test_non_finite_target_data_returns_two(self, payload, named, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))  # NaN / Infinity literals, as Python's json reads them
+        code = main(["sample", "--target", str(path), "--h", "0.05", "--K", "5",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_underflowing_plan_step_returns_two(self, capsys):
+        code = main(["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "1e-300", "--w2init", "1"])
+        assert code == 2
+        assert "epsilon=1e-300 is too small" in capsys.readouterr().err
+
     def test_unreachable_precision_returns_one(self, tmp_path, capsys):
         code = main(["figure1", "--m", "4", "--M", "5", "--eps", "1e-9",
                      "--p-values", "10", "--grid-size", "50", "--span", "10",

@@ -239,3 +239,53 @@ class TestInitDistance:
         spec = QuadraticSpec(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match="shape"):
             w2_init_exact(spec, np.zeros(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 6),
+    k=st.integers(0, 40),
+    step=st.floats(0.01, 1.3),
+    more=st.integers(0, 5),
+)
+def test_shared_basis_w2_matches_general_formula(seed, p, k, step, more):
+    # laws the oracle builds on one spec share its eigenbasis, so their W2 is
+    # an O(p) sum; copies built through GaussianMoments take the general path
+    r = philox(seed, 82)
+    spec = QuadraticSpec(r.standard_normal(p), make_spd(r, p, 0.5, 8.0))
+    h = step * 2.0 / float(np.linalg.eigvalsh(spec.precision)[-1])
+    theta0 = spec.mean + 3.0 * r.standard_normal(p)
+    target = stationary_moments(spec)
+    law = moments_after_k(spec, theta0, h, k)
+    later = moments_after_k(spec, law, h, more)
+    for a, b in ((law, target), (target, law), (later, target)):
+        general = gaussian_w2(GaussianMoments(a.mean, a.cov), GaussianMoments(b.mean, b.cov))
+        assert gaussian_w2(a, b) == pytest.approx(general, rel=1e-12)
+
+
+def test_user_built_non_psd_law_still_raises():
+    spec = QuadraticSpec(np.zeros(3), np.diag([1.0, 2.0, 4.0]))
+    target = stationary_moments(spec)
+    with pytest.raises(ValueError, match="semidefinite"):
+        GaussianMoments(target.mean, target.cov - 0.5 * np.eye(3))
+    with pytest.raises(ValueError, match="semidefinite"):
+        GaussianMoments(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_warmed_spec_needs_no_further_eigendecompositions(monkeypatch, rng):
+    spec = QuadraticSpec(rng.standard_normal(6), make_spd(rng, 6))
+    spec.eigenbasis  # the one eigh this spec ever makes
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    target = stationary_moments(spec)
+    theta0 = spec.mean + 3.0 * rng.standard_normal(6)
+    distances = [gaussian_w2(moments_after_k(spec, theta0, 0.05, k), target) for k in (10, 100, 300)]
+    assert calls == []
+    assert all(math.isfinite(w) and w > 0.0 for w in distances)

@@ -82,6 +82,12 @@ class TestPlanForEpsilon:
         with pytest.raises(ValueError, match="epsilon"):
             plan_for_epsilon(1.0, 2.0, 1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-9])
+    def test_step_too_small_to_contract_names_epsilon(self, eps):
+        # m^2 eps^2 underflows (1e-300), or 1 - m h rounds to 1 (1e-160, 1e-9)
+        with pytest.raises(ValueError, match=f"epsilon={eps:g} is too small"):
+            plan_for_epsilon(4.0, 5.0, 10, 1.0, eps)
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import langevin_lab
 from conftest import make_spd, philox
 from langevin_lab.targets import (
     QuadraticSpec,
@@ -59,6 +63,29 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="shape"):
             QuadraticSpec(np.zeros(3), np.eye(2))
 
+    def test_rejects_non_finite_mean_naming_the_entry(self):
+        with pytest.raises(ValueError, match=r"mean\[1\] must be finite, got nan"):
+            quadratic_target(np.array([0.0, np.nan]), np.eye(2))
+
+    def test_rejects_non_finite_precision_naming_the_entry(self):
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = np.inf
+        with pytest.raises(ValueError, match=r"precision\[1, 2\] must be finite, got inf"):
+            quadratic_target(np.zeros(3), A)
+
+    def test_spec_arrays_are_read_only_copies(self, rng):
+        mean, A = rng.standard_normal(3), make_spd(rng, 3)
+        spec = QuadraticSpec(mean, A)
+        lam, V = spec.eigenbasis
+        for frozen in (spec.mean, spec.precision, lam, V):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 1.0
+        mean[0] += 1.0  # the caller's arrays stay theirs
+        A[0, 0] += 1.0
+        assert spec.mean[0] == mean[0] - 1.0
+        assert spec.eigenbasis is spec.eigenbasis
+        np.testing.assert_allclose((V * lam) @ V.T, spec.precision, atol=1e-12)
+
 
 class TestLogistic:
     @pytest.fixture
@@ -112,6 +139,18 @@ class TestLogistic:
         X, y = data
         with pytest.raises(ValueError, match="shape"):
             logistic_target(X, y[:-1], ridge=1.0)
+
+    def test_rejects_non_finite_design_naming_the_entry(self, data):
+        X, y = data
+        X = X.copy()
+        X[4, 2] = np.inf
+        with pytest.raises(ValueError, match=r"X\[4, 2\] must be finite, got inf"):
+            logistic_target(X, y, ridge=1.0)
+
+    def test_rejects_non_finite_ridge(self, data):
+        X, y = data
+        with pytest.raises(ValueError, match="ridge .* finite, got nan"):
+            logistic_target(X, y, ridge=float("nan"))
 
 
 class TestCustomAndTemper:
@@ -236,3 +275,21 @@ def test_quadratic_curvature_inequalities_hold(seed, p, scale):
     assert float(t.eval(y)) >= lower - 1e-9 * max(1.0, abs(lower))
     lip = float(np.linalg.norm(t.grad(x) - t.grad(y)))
     assert lip <= t.M * float(np.linalg.norm(dx)) * (1.0 + 1e-9) + 1e-12
+
+
+def test_scipy_is_imported_only_for_logistic_targets(tmp_path):
+    quad, logit = tmp_path / "quad.json", tmp_path / "logit.json"
+    quad.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 1.0], "precision": [[2.0, 0.0], [0.0, 3.0]]}))
+    logit.write_text(json.dumps({"type": "logistic", "X": [[1.0, 0.0], [0.0, 1.0]], "y": [0, 1], "ridge": 0.5}))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import langevin_lab.cli; "
+        "from langevin_lab.targets import load_target; load_target(sys.argv[2]); "
+        "print('scipy' in sys.modules); load_target(sys.argv[3]); print('scipy' in sys.modules)"
+    )
+    src = str(Path(langevin_lab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src, str(quad), str(logit)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
