@@ -14,12 +14,19 @@ here.
 
 A third, older bound in squared form is kept as ``baseline_bound`` for
 iteration-count comparisons.
+
+Each bound has one array core (``lmc_core``, ``noisy_lmc_core``,
+``baseline_value``) that broadcasts a step grid h of shape (n,) against
+iteration counts K of shape (c, 1), and every ``rate**K`` in them takes
+numpy's array power loop.  The scalar evaluators are thin wrappers
+around those cores, so a scalar bound and the same element of any grid
+agree to the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +36,8 @@ __all__ = [
     "SMALL_STEP",
     "LARGE_STEP",
     "contraction_factor",
+    "lmc_core",
+    "noisy_lmc_core",
     "lmc_bound",
     "noisy_lmc_bound",
     "baseline_bound",
@@ -114,45 +123,127 @@ class BoundReport:
     bias_term: float
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "regime": self.regime,
-            "gamma": self.gamma,
-            "contraction_term": self.contraction_term,
-            "bias_term": self.bias_term,
-        }
+        return asdict(self)
 
 
-def _check_step(h: float, M: float) -> None:
-    if not (0.0 < h < 2.0 / M):
-        raise ValueError(f"step size h must lie in (0, 2/M) = (0, {2.0 / M:.6g}), got {h}")
+def _first(x, bad) -> float:
+    """The first element of x, broadcast against the mask bad, where bad holds."""
+    return float(np.broadcast_to(x, bad.shape)[bad][0])
 
 
-def _regime(m: float, M: float, h: float, regime: str | None = None) -> str:
-    """The branch to evaluate: by h when regime is None, else regime checked against h."""
+def _power(rate, K):
+    """rate**K for nonnegative K, rounded alike for every shape of rate and K.
+
+    A Python float's ``**`` calls libm ``pow``, which rounds differently
+    from numpy's SIMD power loop in a few percent of inputs; a 0-d, a
+    one-element and a large array all take that loop.  The loop squares
+    instead when one exponent 2 serves its whole inner loop, and not
+    when K varies along it, so K == 2 is always rate * rate here.
+    """
+    with np.errstate(under="ignore"):
+        out = np.power(rate, K)
+        two = np.equal(K, 2)
+        return np.where(two, rate * rate, out) if two.any() else out
+
+
+def _check_step(h, M, closed: bool = False) -> None:
+    """Every h must lie in (0, 2/M), or (0, 2/M] when closed; names the first that does not."""
+    top = 2.0 / M
+    bad = ~((h > 0.0) & ((h <= top) if closed else (h < top)))
+    if bad.any():
+        end = "]" if closed else ")"
+        raise ValueError(
+            f"step size h must lie in (0, 2/M{end} = (0, {_first(top, bad):.6g}{end}, got {_first(h, bad)}"
+        )
+
+
+def _branch(m, M, h, regime: str | None):
+    """The regime every h is evaluated in, or a small-step mask when h straddles 2/(m + M).
+
+    regime=None picks by h (small_step up to and at the boundary);
+    a forced regime is checked against every h.
+    """
     boundary = 2.0 / (m + M)
     if regime is None:
-        return SMALL_STEP if h <= boundary else LARGE_STEP
-    if regime == SMALL_STEP and h > boundary:
-        raise ValueError(f"regime '{SMALL_STEP}' requires h <= 2/(m+M) = {boundary:.6g}, got h={h}")
-    if regime == LARGE_STEP and h < boundary:
-        raise ValueError(f"regime '{LARGE_STEP}' requires h >= 2/(m+M) = {boundary:.6g}, got h={h}")
+        small = h <= boundary
+        return SMALL_STEP if small.all() else LARGE_STEP if not small.any() else small
     if regime not in (SMALL_STEP, LARGE_STEP):
         raise ValueError(f"unknown regime {regime!r}")
+    bad = h > boundary if regime == SMALL_STEP else h < boundary
+    if bad.any():
+        side = "<=" if regime == SMALL_STEP else ">="
+        boundary, h = _first(boundary, bad), _first(h, bad)
+        raise ValueError(f"regime '{regime}' requires h {side} 2/(m+M) = {boundary:.6g}, got h={h}")
     return regime
 
 
-def _lmc_terms(m, M, h, p, regime):
-    """(gamma, bias) of the exact-gradient bound in one regime; h is a float or an array.
+def _core(terms, m, M, h, K, p, w2_init, regime, *extra, closed: bool = False) -> tuple:
+    """(value, gamma, contraction, bias, branch) of the bound whose per-regime (gamma, bias) is terms."""
+    h = np.asarray(h, dtype=float)
+    _check_step(h, M, closed)
+    branch = _branch(m, M, h, regime)
+    if isinstance(branch, str):
+        gamma, bias = terms(m, M, h, p, *extra, branch)
+    else:
+        both = zip(terms(m, M, h, p, *extra, SMALL_STEP), terms(m, M, h, p, *extra, LARGE_STEP))
+        gamma, bias = (np.where(branch, small, large) for small, large in both)
+    contraction = _power(gamma, K) * w2_init
+    return contraction + bias, gamma, contraction, bias, branch
 
-    math.sqrt and np.sqrt both round correctly, so a float h and the
-    same h in an array give the same bits; floats skip numpy's overhead.
-    """
+
+def _lmc_terms(m, M, h, p, regime):
+    """(gamma, bias) of the exact-gradient bound in one regime, elementwise."""
     if regime == SMALL_STEP:
         gamma, scale = 1.0 - m * h, M / m
     else:
         gamma, scale = M * h - 1.0, M * h / (2.0 - M * h)
-    return gamma, 1.82 * scale * (math.sqrt(h * p) if isinstance(h, float) else np.sqrt(h * p))
+    return gamma, 1.82 * scale * np.sqrt(h * p)
+
+
+def lmc_core(m, M, h, K, p, w2_init, regime: str | None = None) -> tuple:
+    """Exact-gradient bound over arrays: (value, gamma, contraction, bias, branch).
+
+    All arguments broadcast elementwise; a step grid h of shape (n,)
+    against iteration counts K of shape (c, 1) gives (c, n) values.
+    branch is the regime, or a small-step mask when h straddles
+    2/(m + M).  Every h must lie in (0, 2/M).  Where h == 2/(m + M)
+    both branches are stated, and they are checked to agree there.
+    """
+    out = _core(_lmc_terms, m, M, h, K, p, w2_init, regime)
+    boundary = 2.0 / (m + M)
+    at = np.equal(h, boundary)
+    if at.any():
+        a, b = (_core(_lmc_terms, m, M, boundary, K, p, w2_init, r)[0] for r in (SMALL_STEP, LARGE_STEP))
+        bad = at & (np.abs(a - b) > _BOUNDARY_AGREEMENT_RTOL * np.maximum(np.abs(a), np.abs(b)).clip(1e-300))
+        if bad.any():
+            raise RuntimeError(
+                f"regime branches disagree at the boundary step h={_first(boundary, bad)}: "
+                f"{_first(a, bad)!r} versus {_first(b, bad)!r}"
+            )
+    return out
+
+
+def _noisy_terms(m, M, h, p, sigma, regime):
+    """(gamma, bias) of the noisy-gradient bound in one regime; inf bias where 2 - Mh <= 0."""
+    if regime == SMALL_STEP:
+        return 1.0 - m * h / 2.0, np.sqrt(2.0 * h * p / m) * np.sqrt(sigma * sigma + 3.3 * (M * M) / m)
+    rest = 2.0 - M * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bias = np.sqrt(2.0 * (h * h) * p / rest) * np.sqrt(sigma * sigma + 6.6 * M / rest)
+    return M * h / 2.0, np.where(rest > 0.0, bias, np.inf)
+
+
+def noisy_lmc_core(m, M, h, K, p, w2_init, sigma, regime: str | None = None) -> tuple:
+    """Noisy-gradient bound over arrays: (value, gamma, contraction, bias, branch).
+
+    Broadcasts like lmc_core; every h must lie in (0, 2/M].
+    """
+    return _core(_noisy_terms, m, M, h, K, p, w2_init, regime, sigma, closed=True)
+
+
+def _report(core: tuple) -> BoundReport:
+    value, gamma, contraction, bias, regime = core
+    return BoundReport(float(value), regime, float(gamma), float(contraction), float(bias))
 
 
 def contraction_factor(m: float, M: float, h: float) -> float:
@@ -162,8 +253,7 @@ def contraction_factor(m: float, M: float, h: float) -> float:
     [0, 1) on the admissible range 0 < h < 2/M.
     """
     _check_curvature(m, M)
-    _check_step(h, M)
-    return float(_lmc_terms(m, M, h, 1, _regime(m, M, h))[0])
+    return float(lmc_core(m, M, h, 0, 1, 0.0)[1])
 
 
 def lmc_terms_small_step(m, M, h, p, w2_init):
@@ -172,21 +262,13 @@ def lmc_terms_small_step(m, M, h, p, w2_init):
 
 
 def lmc_value_small_step(m, M, h, K, p, w2_init):
-    """Exact-gradient bound value in the small-step regime, vectorized in h.
+    """Exact-gradient bound value in the small-step regime, vectorized in (h, K).
 
     Valid for 0 < h <= 2/(m + M).  Used by the planner, which sweeps
-    large grids; the scalar evaluator goes through the same arithmetic
-    so grid search and spot checks agree to the last bit.
+    large grids; it is lmc_core itself, so grid search and scalar spot
+    checks agree to the last bit.
     """
-    coef, rate, floor = lmc_terms_small_step(m, M, h, p, w2_init)
-    with np.errstate(under="ignore"):
-        return rate**K * coef + floor
-
-
-def _lmc_report(i: BoundInputs, regime: str) -> BoundReport:
-    gamma, bias = _lmc_terms(i.m, i.M, i.h, i.p, regime)
-    contraction = gamma**i.K * i.w2_init
-    return BoundReport(contraction + bias, regime, gamma, contraction, bias)
+    return lmc_core(m, M, h, K, p, w2_init, SMALL_STEP)[0]
 
 
 def lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundReport:
@@ -203,17 +285,7 @@ def lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundReport:
     which is only legal where that branch is stated.
     """
     i = inputs
-    _check_step(i.h, i.M)
-    report = _lmc_report(i, _regime(i.m, i.M, i.h, regime))
-    if i.h == i.boundary:
-        value, other = report.value, _lmc_report(i, LARGE_STEP).value
-        ref = max(abs(value), abs(other), 1e-300)
-        if abs(value - other) > _BOUNDARY_AGREEMENT_RTOL * ref:
-            raise RuntimeError(
-                f"regime branches disagree at the boundary step h={i.h}: "
-                f"{value!r} versus {other!r}"
-            )
-    return report
+    return _report(lmc_core(i.m, i.M, i.h, i.K, i.p, i.w2_init, regime))
 
 
 def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundReport:
@@ -229,23 +301,7 @@ def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundRepo
     large-step denominators vanish and the bias is reported as inf.
     """
     i = inputs
-    if not (0.0 < i.h <= 2.0 / i.M):
-        raise ValueError(
-            f"step size h must lie in (0, 2/M] = (0, {2.0 / i.M:.6g}], got {i.h}"
-        )
-    regime = _regime(i.m, i.M, i.h, regime)
-    if regime == SMALL_STEP:
-        gamma = 1.0 - i.m * i.h / 2.0
-        bias = math.sqrt(2.0 * i.h * i.p / i.m) * math.sqrt(i.sigma**2 + 3.3 * i.M**2 / i.m)
-    else:
-        gamma = i.M * i.h / 2.0
-        rest = 2.0 - i.M * i.h
-        if rest <= 0.0:
-            bias = math.inf
-        else:
-            bias = math.sqrt(2.0 * i.h**2 * i.p / rest) * math.sqrt(i.sigma**2 + 6.6 * i.M / rest)
-    contraction = gamma**i.K * i.w2_init
-    return BoundReport(contraction + bias, regime, gamma, contraction, bias)
+    return _report(noisy_lmc_core(i.m, i.M, i.h, i.K, i.p, i.w2_init, i.sigma, regime))
 
 
 def baseline_terms(m, M, h, p, w2_init):
@@ -262,7 +318,7 @@ def baseline_terms(m, M, h, p, w2_init):
 
 
 def baseline_value(m, M, h, K, p, w2_init):
-    """Comparison bound value, vectorized in h.
+    """Comparison bound value, vectorized in (h, K).
 
     Stated in squared form for 0 < h <= 2/(m + M):
 
@@ -273,8 +329,7 @@ def baseline_value(m, M, h, K, p, w2_init):
     """
     _, rate, floor = baseline_terms(m, M, h, p, w2_init)
     # 2 * rate**K * w2^2 in this order, not coef * rate**K: same rounding as the stated form
-    with np.errstate(under="ignore"):
-        return np.sqrt(2.0 * rate**K * w2_init * w2_init + floor)
+    return np.sqrt(2.0 * _power(rate, K) * w2_init * w2_init + floor)
 
 
 def baseline_bound(inputs: BoundInputs) -> float:

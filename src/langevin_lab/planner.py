@@ -11,13 +11,14 @@ Grid searches are resolved in two stages: a coarse geometric sweep over
 the admissible range, then an equally sized local grid around the best
 coarse step.  On each step a bound is coef * rate^K + floor (in its
 stated power), so the smallest K a step certifies is a logarithm; the
-grid's minimum of those is confirmed on the bound itself at K and K - 1.
+grid's minimum of those is confirmed on the bound itself, at K - 1 and
+K in one evaluation whose row at K also locates the best step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -67,14 +68,7 @@ class Plan:
     zero_iterations: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "h": self.h,
-            "K": self.K,
-            "predicted_bound": self.predicted_bound,
-            "binding": self.binding,
-            "zero_iterations": self.zero_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,13 +88,7 @@ class CurvePoint:
         return self.k_baseline / self.k_lmc
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "k_lmc": self.k_lmc,
-            "k_baseline": self.k_baseline,
-            "ratio": self.ratio,
-        }
+        return {**asdict(self), "ratio": self.ratio}
 
 
 def _check_common(m: float, M: float, p: int, w2_init: float, epsilon: float) -> None:
@@ -137,9 +125,11 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     The step is h = min(m^2 eps^2 / (14 M^2 p), 2/(m+M)): the first cap
     pins the bias term under eps with margin, the second keeps h in the
     small-step regime.  Then K = ceil(log(2 w2_init / eps) / (m h))
-    drives the geometric term below eps/2.  The returned
-    predicted_bound re-evaluates the closed-form bound at (h, K) and is
-    guaranteed to be at most epsilon.
+    drives the geometric term below eps/2; where the float 1 - m h
+    rounds so that this K falls short, K is recomputed with
+    -log(1 - m h) in place of m h.  The returned predicted_bound
+    re-evaluates the closed-form bound at (h, K) and is guaranteed to be
+    at most epsilon.
     """
     _check_common(m, M, p, w2_init, epsilon)
     p = int(p)
@@ -152,12 +142,16 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
             f"epsilon={epsilon:g} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) "
             f"= {h:g} leaves the contraction factor 1 - m h at 1 in floating point"
         )
-    if 2.0 * w2_init <= epsilon:
-        K = 0
+    log_ratio = math.log(2.0 * w2_init / epsilon) if 2.0 * w2_init > epsilon else 0.0
+    K = 0
+    # the float 1 - m h can round up so far that -log(1 - m h) < m h; only where
+    # that leaves K short is it sized by the rate the bound actually uses
+    for rate in (m * h, -math.log(1.0 - m * h)):
+        K = max(K, math.ceil(log_ratio / rate))
+        predicted = lmc_bound(BoundInputs(m=m, M=M, h=h, K=K, p=p, w2_init=w2_init)).value
+        if predicted <= epsilon:
+            break
     else:
-        K = max(0, math.ceil(math.log(2.0 * w2_init / epsilon) / (m * h)))
-    predicted = lmc_bound(BoundInputs(m=m, M=M, h=h, K=K, p=p, w2_init=w2_init)).value
-    if not predicted <= epsilon:
         raise RuntimeError(
             f"planned (h={h:g}, K={K}) certifies {predicted:.6g} > epsilon={epsilon:g}; "
             f"this should be impossible and indicates a bug"
@@ -203,48 +197,57 @@ def _minimal_k(
     p = int(p)
     grid = _validate_grid(h_grid, m, M)
 
-    def values(g: np.ndarray, K: int) -> np.ndarray:
-        with np.errstate(under="ignore"):
-            return value(m, M, g, float(K), p, w2_init)
+    def values(g: np.ndarray, ks: list[int]) -> np.ndarray:
+        """One row of bound values over g per K in ks, from a single evaluation."""
+        return value(m, M, g, np.array(ks, dtype=float)[:, None], p, w2_init)
 
-    def feasible(g: np.ndarray, K: int) -> bool:
-        return bool((values(g, K) <= epsilon).any())
-
-    def smallest(g: np.ndarray, cap: int) -> Optional[int]:
-        # after rounding the logarithm may be a step off: it only seeds the exact bracket
+    def seed(g: np.ndarray) -> float:
+        """The logarithm's smallest K over g; after rounding it may be a step off."""
         coef, rate, floor = terms(m, M, g, p, w2_init)
         slack = epsilon**power - floor
         with np.errstate(divide="ignore", invalid="ignore"):
             steps = np.maximum(np.ceil(np.log(coef / slack) / -np.log(np.maximum(rate, 0.0))), 1.0)
             k_h = np.where(coef <= slack, 0.0, np.where((slack > 0.0) & (rate < 1.0), steps, np.inf))
-        lo, hi, stride = -1, int(min(float(k_h.min()), cap)), 1
-        while not feasible(g, hi):
+        return float(k_h.min())
+
+    def smallest(g: np.ndarray, cap: int) -> Optional[tuple[int, np.ndarray]]:
+        """Smallest K <= cap some step of g certifies, with the bound row at that K."""
+        hi = int(min(seed(g), cap))
+        # confirm the seed together with its predecessor: usually that settles K
+        rows = values(g, [hi - 1, hi] if hi > 0 else [hi])
+        lo, row, stride = -1, rows[-1], 1
+        if hi > 0 and (row <= epsilon).any():
+            if not (rows[0] <= epsilon).any():
+                return hi, row
+            hi, row = hi - 1, rows[0]
+        while not (row <= epsilon).any():  # gallop up from a seed that falls short
             if hi >= cap:
                 return None
             lo, hi, stride = hi, min(hi + stride, cap), 2 * stride
-        if lo < 0 < hi and not feasible(g, hi - 1):
-            lo = hi - 1
+            row = values(g, [hi])[0]
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if feasible(g, mid):
-                hi = mid
+            mid_row = values(g, [mid])[0]
+            if (mid_row <= epsilon).any():
+                hi, row = mid, mid_row
             else:
                 lo = mid
-        return hi
+        return hi, row
 
-    k1 = smallest(grid, k_cap)
-    if k1 is None:
-        raise UnreachablePrecisionError(epsilon, float(values(grid, k_cap).min()), k_cap)
+    found = smallest(grid, k_cap)
+    if found is None:
+        raise UnreachablePrecisionError(epsilon, float(values(grid, [k_cap]).min()), k_cap)
+    k1, row = found
     if k1 == 0:
         return 0
     # refine locally around the best coarse step with an equally dense grid
-    i = int(np.argmin(values(grid, k1)))
+    i = int(np.argmin(row))
     lo_h = grid[max(0, i - 2)]
     hi_h = min(grid[min(grid.size - 1, i + 2)], 2.0 / (m + M))
     if not lo_h < hi_h:
         return k1
-    k2 = smallest(np.geomspace(lo_h, hi_h, grid.size), k1)
-    return k1 if k2 is None else min(k1, k2)
+    found = smallest(np.geomspace(lo_h, hi_h, grid.size), k1)
+    return k1 if found is None else min(k1, found[0])
 
 
 def minimal_k_lmc(

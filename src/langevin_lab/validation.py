@@ -12,19 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    BoundInputs,
-    LARGE_STEP,
-    SMALL_STEP,
-    init_w2_from_f,
-    init_w2_from_mean,
-    lmc_bound,
-    noisy_lmc_bound,
-)
-# gaussian_w2 and stationary_moments are unused here but stay module
-# attributes: perfbench/tracing.py patches them by name, so without them
-# every `--trace 1` benchmark run stops with AttributeError.  They can go
-# once the tracer no longer looks them up.
+from .bounds import LARGE_STEP, SMALL_STEP, init_w2_from_f, init_w2_from_mean, lmc_core, noisy_lmc_core
+# lmc_bound, noisy_lmc_bound, gaussian_w2 and stationary_moments are unused
+# here but stay module attributes: perfbench/tracing.py patches them by
+# name, so without them every `--trace 1` benchmark run stops with
+# AttributeError.  They can go once the tracer no longer looks them up.
+from .bounds import lmc_bound, noisy_lmc_bound  # noqa: F401
 from .gaussian_oracle import _point_start_w2, gaussian_w2, stationary_moments, w2_init_exact  # noqa: F401
 from .targets import quadratic_target
 
@@ -96,40 +89,43 @@ def check_lmc_bound_validity(
             w2_0 = w2_init_exact(spec, theta0)
             hs = np.linspace(0.02, 0.98, n_steps) * (2.0 / target.M)
             exact = _point_start_w2(spec, theta0, hs, checkpoints)
-            for k, row in zip(checkpoints, exact):
-                for h, w2 in zip(hs, row):
-                    bound = lmc_bound(
-                        BoundInputs(m=target.m, M=target.M, h=float(h), K=k, p=p, w2_init=w2_0)
-                    ).value
-                    margin = float(w2) - bound
-                    cells += 1
-                    worst = max(worst, margin)
-                    if margin > slack + slack * abs(bound) and not first_bad:
-                        first_bad = (
-                            f"p={p} h={h:.6g} K={k}: exact W2 {w2:.12g} exceeds "
-                            f"bound {bound:.12g} by {margin:.3e}"
-                        )
+            bound = lmc_core(target.m, target.M, hs, np.array(checkpoints)[:, None], p, w2_0)[0]
+            margin = exact - bound
+            cells += margin.size
+            # fmax skips NaN cells (the exact W2 is NaN at k = 0 where h * lambda = 1)
+            worst = float(np.fmax.reduce(margin, axis=None, initial=worst))
+            bad = margin > slack + slack * np.abs(bound)
+            if bad.any() and not first_bad:
+                r, c = np.argwhere(bad)[0]  # checkpoint-major, as the cells are counted
+                first_bad = (
+                    f"p={p} h={hs[c]:.6g} K={checkpoints[r]}: exact W2 {exact[r, c]:.12g} exceeds "
+                    f"bound {bound[r, c]:.12g} by {margin[r, c]:.3e}"
+                )
     return CheckResult("lmc bound dominates exact W2", not first_bad, cells, worst, first_bad)
 
 
 def check_regime_continuity(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
     """The two branches of the exact-gradient bound agree at h = 2/(m+M)."""
     rng = _rng(seed, 2)
-    worst = 0.0
+    m, M, w2 = np.empty((3, trials))
+    K, p = np.empty((2, trials), dtype=np.int64)
+    for t in range(trials):
+        m[t] = rng.uniform(0.1, 5.0)
+        M[t] = m[t] * rng.uniform(1.0, 20.0)
+        K[t] = rng.integers(0, 1000)
+        p[t] = rng.integers(1, 100)
+        w2[t] = rng.uniform(0.0, 50.0)
+    h = 2.0 / (m + M)
+    a, b = (lmc_core(m, M, h, K, p, w2, regime)[0] for regime in (SMALL_STEP, LARGE_STEP))
+    rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)).clip(1e-300)
     first_bad = ""
-    for _ in range(trials):
-        m = float(rng.uniform(0.1, 5.0))
-        M = m * float(rng.uniform(1.0, 20.0))
-        K = int(rng.integers(0, 1000))
-        p = int(rng.integers(1, 100))
-        w2 = float(rng.uniform(0.0, 50.0))
-        inputs = BoundInputs(m=m, M=M, h=2.0 / (m + M), K=K, p=p, w2_init=w2)
-        a = lmc_bound(inputs, regime=SMALL_STEP).value
-        b = lmc_bound(inputs, regime=LARGE_STEP).value
-        rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
-        worst = max(worst, rel)
-        if rel > rtol and not first_bad:
-            first_bad = f"m={m:.6g} M={M:.6g} K={K} p={p} w2={w2:.6g}: branches {a!r} vs {b!r}"
+    if (rel > rtol).any():
+        j = np.argmax(rel > rtol)
+        first_bad = (
+            f"m={m[j]:.6g} M={M[j]:.6g} K={K[j]} p={p[j]} w2={w2[j]:.6g}: "
+            f"branches {a[j].item()!r} vs {b[j].item()!r}"
+        )
+    worst = float(rel.max(initial=0.0))
     return CheckResult("bound branches agree at the regime boundary", not first_bad, trials, worst, first_bad)
 
 
@@ -140,29 +136,30 @@ def check_noise_dominance(seed: int = 0, trials: int = 1000) -> CheckResult:
     sit at or above the exact-gradient bound wherever both are stated.
     """
     rng = _rng(seed, 3)
-    worst = -np.inf
+    m, M, h, w2 = np.empty((4, trials))
+    K, p = np.empty((2, trials), dtype=np.int64)
+    for t in range(trials):
+        m[t] = rng.uniform(0.1, 5.0)
+        M[t] = m[t] * rng.uniform(1.0, 20.0)
+        h[t] = rng.uniform(0.0, 1.0) * (2.0 / M[t])
+        if h[t] <= 0.0:
+            h[t] = 1.0 / (m[t] + M[t])
+        K[t] = rng.integers(0, 2000)
+        p[t] = rng.integers(1, 100)
+        w2[t] = rng.uniform(0.0, 50.0)
+    keep = h < 2.0 / M
+    m, M, h, K, p, w2 = (x[keep] for x in (m, M, h, K, p, w2))
+    exact = lmc_core(m, M, h, K, p, w2)[0]
+    noisy = noisy_lmc_core(m, M, h, K, p, w2, 0.0)[0]
+    margin = exact - noisy
     first_bad = ""
-    for _ in range(trials):
-        m = float(rng.uniform(0.1, 5.0))
-        M = m * float(rng.uniform(1.0, 20.0))
-        h = float(rng.uniform(0.0, 1.0)) * (2.0 / M)
-        if h <= 0.0:
-            h = 1.0 / (m + M)
-        K = int(rng.integers(0, 2000))
-        p = int(rng.integers(1, 100))
-        w2 = float(rng.uniform(0.0, 50.0))
-        inputs = BoundInputs(m=m, M=M, h=h, K=K, p=p, w2_init=w2, sigma=0.0)
-        if h >= 2.0 / M:
-            continue
-        exact = lmc_bound(inputs).value
-        noisy = noisy_lmc_bound(inputs).value
-        margin = exact - noisy
-        worst = max(worst, margin)
-        if margin > 0.0 and not first_bad:
-            first_bad = (
-                f"m={m:.6g} M={M:.6g} h={h:.6g} K={K} p={p} w2={w2:.6g}: "
-                f"noisy bound {noisy!r} below exact bound {exact!r}"
-            )
+    if (margin > 0.0).any():
+        j = np.argmax(margin > 0.0)
+        first_bad = (
+            f"m={m[j]:.6g} M={M[j]:.6g} h={h[j]:.6g} K={K[j]} p={p[j]} w2={w2[j]:.6g}: "
+            f"noisy bound {noisy[j].item()!r} below exact bound {exact[j].item()!r}"
+        )
+    worst = float(margin.max(initial=-np.inf))
     return CheckResult("noisy bound dominates exact bound at sigma=0", not first_bad, trials, worst, first_bad)
 
 

@@ -17,6 +17,8 @@ from langevin_lab.bounds import (
     lmc_value_small_step,
     noisy_lmc_bound,
 )
+from langevin_lab import bounds
+from langevin_lab.bounds import lmc_core, noisy_lmc_core
 
 
 class TestContractionFactor:
@@ -278,3 +280,80 @@ def test_scalar_bound_is_the_vectorized_arithmetic_to_the_last_bit(m, ratio, fra
     assert forced_small.gamma == contraction_factor(m, M, boundary) == 1.0 - m * boundary
     forced_large = lmc_bound(at, regime=LARGE_STEP)
     assert forced_large.regime == LARGE_STEP and forced_large.gamma == M * boundary - 1.0
+
+
+def _steps(m, M, fracs):
+    """Steps across (0, 2/M) from fractions in [0, 1): below 2/(m+M), at it, and above it."""
+    boundary = 2.0 / (m + M)
+    small = [f * boundary for f in fracs if f * boundary > 0.0]
+    large = [boundary + f * (2.0 / M - boundary) for f in fracs]
+    return small, boundary, [h for h in large if h < 2.0 / M]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.floats(0.01, 10.0),
+    ratio=st.floats(1.0, 30.0),
+    fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=12),
+    ks=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**7)), min_size=1, max_size=3),
+    p=st.integers(1, 10**4),
+    w2=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    sigma=st.floats(0.0, 10.0),
+)
+def test_array_cores_are_the_scalar_bounds_to_the_last_bit(m, ratio, fracs, ks, p, w2, sigma):
+    """Every element of a multi-element core array == the scalar wrapper, in every regime."""
+    M = m * ratio
+    small, boundary, large = _steps(m, M, fracs)
+    K = np.array(ks)[:, None]
+
+    def assert_elementwise(core, scalar, hs, regime):
+        terms = np.broadcast_arrays(*core(np.array(hs), K, regime)[:4])  # value, gamma, contraction, bias
+        for r, k in enumerate(ks):
+            for c, h in enumerate(hs):
+                got = scalar(BoundInputs(m=m, M=M, h=h, K=k, p=p, w2_init=w2, sigma=sigma), regime)
+                assert (got.value, got.gamma, got.contraction_term, got.bias_term) == tuple(t[r, c] for t in terms)
+
+    def lmc(hs, K, regime):
+        return lmc_core(m, M, hs, K, p, w2, regime)
+
+    def noisy(hs, K, regime):
+        return noisy_lmc_core(m, M, hs, K, p, w2, sigma, regime)
+
+    both = small + [boundary] + large
+    for core, scalar, every in ((lmc, lmc_bound, both), (noisy, noisy_lmc_bound, both + [2.0 / M])):
+        assert_elementwise(core, scalar, every, None)
+        assert_elementwise(core, scalar, small + [boundary], SMALL_STEP)
+        assert_elementwise(core, scalar, [boundary] + large, LARGE_STEP)
+    below = np.array(small + [boundary])
+    for k in ks:
+        grid = lmc_value_small_step(m, M, below, float(k), p, w2)
+        base = baseline_value(m, M, below, float(k), p, w2)
+        for h, v, b in zip(below, grid, base):
+            i = BoundInputs(m=m, M=M, h=float(h), K=k, p=p, w2_init=w2)
+            assert lmc_bound(i).value == v
+            assert baseline_bound(i) == b
+
+
+class TestCoreChecks:
+    def test_out_of_range_step_is_named(self):
+        with pytest.raises(ValueError, match=r"\(0, 2/M\) = \(0, 0.4\), got 0.45"):
+            lmc_core(4.0, 5.0, np.array([0.1, 0.45, 0.5]), 3, 1, 1.0)
+        with pytest.raises(ValueError, match=r"got -0.1"):
+            lmc_core(4.0, 5.0, np.array([0.1, -0.1]), np.array([[1], [2]]), 1, 1.0)
+        with pytest.raises(ValueError, match=r"\(0, 2/M\] = \(0, 0.4\], got 0.41"):
+            noisy_lmc_core(4.0, 5.0, np.array([0.4, 0.41]), 3, 1, 1.0, 0.0)
+        assert noisy_lmc_core(4.0, 5.0, np.array([0.1, 0.4]), 3, 1, 1.0, 0.0)[3][1] == math.inf
+        with pytest.raises(ValueError, match=r"regime 'small_step' requires h <= 2/\(m\+M\) = 0.222222, got h=0.3"):
+            lmc_core(4.0, 5.0, np.array([0.1, 0.3, 0.35]), 3, 1, 1.0, SMALL_STEP)
+
+    def test_boundary_step_runs_the_agreement_check(self, monkeypatch):
+        m, M = 4.0, 5.0
+        off = np.array([0.05, 0.1, 0.3])
+        at = np.array([0.05, 2.0 / (m + M), 0.3])
+        K = np.array([[3], [40]])
+        monkeypatch.setattr(bounds, "_BOUNDARY_AGREEMENT_RTOL", -1.0)
+        lmc_core(m, M, off, K, 2, 1.0)
+        with pytest.raises(RuntimeError, match=f"boundary step h={2.0 / (m + M)!r}"):
+            lmc_core(m, M, at, K, 2, 1.0)
+        with pytest.raises(RuntimeError, match="disagree"):
+            lmc_bound(BoundInputs(m=m, M=M, h=2.0 / (m + M), K=3, p=2, w2_init=1.0), regime=LARGE_STEP)

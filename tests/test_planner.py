@@ -303,3 +303,15 @@ class TestFigureCurves:
             figure1_curves(4.0, 5.0, epsilons=[], p_values=[10])
         with pytest.raises(ValueError, match="nonempty"):
             figure1_curves(4.0, 5.0, epsilons=[0.5], p_values=[])
+
+
+@pytest.mark.parametrize(
+    "m, M, p, w2, lo, hi",
+    [(4.0, 5.0, 10, 1.0, 7.8e-8, 1.2e-6), (1.0, 10.0, 100, 30.0, 3.9e-6, 5.3e-5), (0.1, 0.2, 1, 1e3, 2.5e-7, 4.4e-6)],
+)
+def test_plan_certifies_where_one_minus_mh_rounds_up(m, M, p, w2, lo, hi):
+    # in these bands the float 1 - m h rounds so that -log(1 - m h) < m h,
+    # and K = ceil(log(2 w2 / eps) / (m h)) alone leaves the bound above eps
+    for eps in np.geomspace(lo, hi, 400):
+        plan = plan_for_epsilon(m, M, p, w2, float(eps))
+        assert plan.predicted_bound <= eps
