@@ -37,16 +37,12 @@ from .planner import (
     figure1_curves,
     plan_for_epsilon,
 )
-from .sampler import (
-    GradientOracle,
-    LmcConfig,
-    final_states,
-    run_lmc,
-    run_nlmc,
-    trajectory_summary,
-    trajectory_to_csv,
-    _write_theta_csv,
-)
+from .sampler import GradientOracle, LmcConfig, final_states, write_trajectory, _write_theta_csv
+# run_lmc, run_nlmc and trajectory_to_csv are unused here but stay module
+# attributes: perfbench/tracing.py patches them by name, so without them
+# every `--trace 1` benchmark run stops with AttributeError.  They can go
+# once the tracer no longer looks them up.
+from .sampler import run_lmc, run_nlmc, trajectory_to_csv  # noqa: F401
 from .targets import load_target
 from .validation import run_all_checks
 
@@ -72,17 +68,15 @@ def _number(cast, ok, requirement: str):
 
 
 def _list_of(convert):
-    """Comma-separated flag converter applying convert to each part."""
+    """Comma-separated flag converter applying a _number converter to each part."""
 
     def convert_list(text: str) -> list:
-        try:
-            return [convert(part) for part in text.split(",") if part != ""]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+        return [convert(part) for part in text.split(",") if part != ""]
 
     return convert_list
 
 
+_finite_float = _number(float, math.isfinite, "must be finite")
 _positive_float = _number(float, lambda v: v > 0.0 and math.isfinite(v), "must be positive")
 _nonnegative_float = _number(float, lambda v: v >= 0.0 and math.isfinite(v), "must be nonnegative")
 _positive_int = _number(int, lambda v: v >= 1, "must be at least 1")
@@ -91,9 +85,11 @@ _nonnegative_int = _number(int, lambda v: v >= 0, "must be nonnegative")
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    buf = bytearray(1 << 16)  # one fixed 64 KB buffer, whatever the file size
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -152,37 +148,32 @@ def cmd_sample(args: argparse.Namespace) -> int:
         initial = np.asarray(args.init, dtype=float)
 
     out = Path(args.out)
-    if args.replicas == 1:
-        runner = run_lmc if args.oracle == "exact" else run_nlmc
-        traj = runner(target, config, initial)
-        trajectory_to_csv(traj, out)
-        summary_path = out.with_name(out.stem + ".summary.json")
-        _write_json(summary_path, trajectory_summary(traj))
-        manifest = _write_manifest(out, args, [out, summary_path], started)
-        print(f"wrote {out} and {summary_path} ({config.K} steps, dim {target.dim}); manifest {manifest}")
-        return 0
-
-    finals = final_states(target, config, initial, args.replicas)
-    _write_theta_csv(out, "replica", finals)
+    try:
+        if args.replicas == 1:
+            summary = write_trajectory(target, config, initial, out)
+            ran = f"{config.K} steps, dim {target.dim}"
+        else:
+            finals = final_states(target, config, initial, args.replicas)
+            _write_theta_csv(out, "replica", finals, target.dim)
+            summary = {
+                "dim": target.dim,
+                "iterations": config.K,
+                "seed": config.seed,
+                "oracle": args.oracle,
+                "sigma": args.sigma,
+                "replicas": args.replicas,
+                "final_mean": [float(x) for x in finals.mean(axis=0)],
+                "final_variance": [float(x) for x in finals.var(axis=0, ddof=1)],
+            }
+            ran = f"{args.replicas} replicas, {config.K} steps"
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"{exc} (--h {args.h!r}; the chain is stable only for h < 2/M = {2.0 / target.M:.6g})"
+        ) from None
     summary_path = out.with_name(out.stem + ".summary.json")
-    _write_json(
-        summary_path,
-        {
-            "dim": target.dim,
-            "iterations": config.K,
-            "seed": config.seed,
-            "oracle": args.oracle,
-            "sigma": args.sigma,
-            "replicas": args.replicas,
-            "final_mean": [float(x) for x in finals.mean(axis=0)],
-            "final_variance": [float(x) for x in finals.var(axis=0, ddof=1)],
-        },
-    )
+    _write_json(summary_path, summary)
     manifest = _write_manifest(out, args, [out, summary_path], started)
-    print(
-        f"wrote {out} and {summary_path} ({args.replicas} replicas, {config.K} steps); "
-        f"manifest {manifest}"
-    )
+    print(f"wrote {out} and {summary_path} ({ran}); manifest {manifest}")
     return 0
 
 
@@ -294,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("--batch", type=_positive_int, default=1, help="subsample size")
     p_sample.add_argument("--replicas", type=_positive_int, default=1, help="independent chains")
-    p_sample.add_argument("--init", type=_list_of(float), default=None, help="comma-separated start")
+    p_sample.add_argument("--init", type=_list_of(_finite_float), default=None, help="comma-separated start")
     p_sample.add_argument("--out", default="sample.csv", help="output CSV path")
     p_sample.set_defaults(func=cmd_sample)
 

@@ -116,11 +116,13 @@ def _mode_factors(lam: np.ndarray, h, k):
     The noise variance 2h (1 - g^(2k)) / (1 - g^2) is formed with
     1 - g^2 = h lam (2 - h lam) and expm1/log1p, so slowly mixing modes
     keep full precision; at h lam = 2 (g^2 = 1) it is the limit 2hk.
+    At k = 0 the factors are exactly (1, 0), also where h lam = 1 and
+    k * log1p(-d) would be 0 * -inf.
     """
     d = h * lam * (2.0 - h * lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.where(d == 0.0, 2.0 * h * k, -2.0 * h * np.expm1(k * np.log1p(-d)) / d)
-    return (1.0 - h * lam) ** k, var
+    return (1.0 - h * lam) ** k, np.where(np.equal(k, 0), 0.0, var)
 
 
 def moments_after_k(

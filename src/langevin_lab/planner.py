@@ -134,6 +134,10 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     _check_common(m, M, p, w2_init, epsilon)
     p = int(p)
     h_bias = m * m * epsilon * epsilon / (14.0 * M * M * p)
+    if math.isnan(h_bias):
+        raise ValueError(f"m={m:g} and M={M:g} are too large to plan for: m^2 and M^2 overflow")
+    if not math.isfinite(2.0 * w2_init / epsilon):
+        raise ValueError(f"w2_init={w2_init:g} is too large to plan for: 2 w2_init / epsilon overflows")
     boundary = 2.0 / (m + M)
     h = min(h_bias, boundary)
     binding = "bias" if h < boundary else "boundary"
@@ -290,9 +294,11 @@ def figure1_curves(
 
     For each (epsilon, p) the start is placed at squared distance p from
     the mode, giving w2_init = sqrt(p + p/m) through the mean-based
-    initial bound, and both planners search the same step grid.  The
-    certified counts must satisfy k_lmc <= k_baseline on every point;
-    a violation raises, since it would mean a planner bug.
+    initial bound, and both planners search the same step grid.  Either
+    count may be the smaller one: k_lmc <= k_baseline is not a theorem,
+    since the additive bound's bias exceeds the squared form's once M/m
+    is above about 1.22 (m=2, M=7, eps=0.1, p=3 gives 40,123 against
+    39,595).
     """
     eps_list = [float(e) for e in epsilons]
     p_list = [int(p) for p in p_values]
@@ -305,11 +311,6 @@ def figure1_curves(
         w2 = init_w2_from_mean(float(p), p, m)
         k_l = minimal_k_lmc(m, M, p, w2, eps, h_grid=grid, k_cap=k_cap)
         k_b = minimal_k_baseline(m, M, p, w2, eps, h_grid=grid, k_cap=k_cap)
-        if k_l > k_b:
-            raise RuntimeError(
-                f"comparison invariant violated at epsilon={eps:g}, p={p}: "
-                f"k_lmc={k_l} > k_baseline={k_b}; this indicates a planner bug"
-            )
         return CurvePoint(p=p, epsilon=eps, k_lmc=k_l, k_baseline=k_b)
 
     jobs = [(eps, p) for eps in eps_list for p in p_list]

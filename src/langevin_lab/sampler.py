@@ -14,7 +14,8 @@ noise zeta, and the initial draw live on separate channels, so changing
 the oracle never shifts the drive noise, and a noisy run with sigma = 0
 walks the exact same path as the exact-gradient run.  Every chain or
 chunk of replicas, whatever the oracle, runs through one kernel that
-draws noise in blocks of steps, re-keying one Philox per replica.
+draws noise in blocks of steps, re-keying one Philox per replica, and
+checks at the end of each block that every state is still finite.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterator, Optional, Union
+from itertools import chain, repeat
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "final_states",
     "trajectory_to_csv",
     "trajectory_summary",
+    "write_trajectory",
 ]
 
 XI_STREAM = 0
@@ -56,8 +59,13 @@ INIT_STREAM = 2
 
 _CHANNELS_PER_REPLICA = 4
 _MAX_SEED = 2**64 // _CHANNELS_PER_REPLICA
-# float64 values per noise buffer and channel (8 MB), whatever K is
-_NOISE_BUDGET = 2**20
+# float64 values each replica row draws per re-key: a noise block is
+# _NOISE_BUDGET // p steps, so buffers depend on neither K nor spare memory
+_NOISE_BUDGET = 4096
+# float64 values per chunk of replicas and channel (8 MB), see _chunk_rows
+_CHUNK_VALUES = 2**20
+# numpy sums a column pairwise; runs of this many values replay its order
+_PAIRWISE_RUN = 4096
 
 InitialState = Union[np.ndarray, Callable[[np.random.Generator], np.ndarray]]
 
@@ -85,16 +93,24 @@ def noise_stream(seed: int, replica: int, channel: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _block_steps(K: int, p: int) -> int:
+    """Steps per noise block: each replica row draws about _NOISE_BUDGET values per re-key."""
+    return max(1, min(K, _NOISE_BUDGET // p))
+
+
 def _noise(keys: list, shape: tuple, K: int, law: str = "gaussian") -> Iterator[np.ndarray]:
     """Yield K per-step draws shaped like the chain state; row j follows stream keys[j].
 
     One Philox is re-keyed to each replica's key at counter 0 with an
     empty buffer, where noise_stream starts, so the draws are the same
-    bit for bit.  Blocks of steps fit _NOISE_BUDGET and each replica's
-    state is saved between blocks.  law is "gaussian" or "rademacher".
+    bit for bit.  Each re-key fills one row of a (rows, block, p) buffer
+    with a block of _block_steps(K, p) steps, and each replica's state
+    is saved between blocks.  Yielded steps are views into that buffer,
+    valid until the next block is drawn.  law is "gaussian" or
+    "rademacher".
     """
     n, p = len(keys), shape[-1]
-    block = max(1, min(K, _NOISE_BUDGET // (n * p)))
+    block = _block_steps(K, p)
     buf = np.empty((n, block, p))
     bitgen = np.random.Philox(0)  # re-keyed before every draw
     gen = np.random.Generator(bitgen)
@@ -112,7 +128,7 @@ def _noise(keys: list, shape: tuple, K: int, law: str = "gaussian") -> Iterator[
                 row[...] = 2.0 * gen.integers(0, 2, size=row.shape) - 1.0
             if k0 + block < K:
                 states[j] = bitgen.state
-        yield from rows.transpose(1, 0, 2).reshape((-1,) + tuple(shape))
+        yield from rows[0] if len(shape) == 1 else rows.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -216,6 +232,8 @@ def _resolve_initial(
         raise ValueError(
             f"initial state has shape {theta0.shape} but the target has dimension {target.dim}"
         )
+    if not np.isfinite(theta0).all():
+        raise ValueError(f"initial state must be finite, got {theta0}")
     return theta0
 
 
@@ -274,30 +292,51 @@ def oracle_gradient(
     return scale * target.parts.obs_grad(state, idx).sum(axis=0) + target.parts.common_grad(state)
 
 
-def _advance(theta, K, a, drift, b=0.0, seed=0, replicas=None, law=None, record=False):
-    """The chain kernel: K steps of theta <- theta - a * drift(theta, zeta_k) + b * xi_k.
+def _advance(theta, K, a, drift, b=0.0, seed=0, replicas=range(1), law=None) -> Iterator[np.ndarray]:
+    """The chain kernel: yield theta_1, ..., theta_K of theta <- theta - a * drift(theta, zeta_k) + b * xi_k.
 
     theta is one state (p,) or one per replica, (n, p).  xi and, if law
     is set, zeta come from the replicas' streams (see _noise); else drift
-    gets zeta_k = None.  b = 0 draws and adds no noise.  Returns the
-    final state, or with record the (K + 1, p) iterates of one chain.
+    gets zeta_k = None.  b = 0 draws and adds no noise.  At the end of
+    every noise block the state must be finite: otherwise
+    FloatingPointError names the first non-finite replica and the
+    block's steps.
     """
     xi = _noise(_stream_keys(seed, replicas, XI_STREAM), theta.shape, K) if b else repeat(None)
     zeta = _noise(_stream_keys(seed, replicas, ZETA_STREAM), theta.shape, K, law) if law else repeat(None)
-    if record:
-        iterates = np.empty((K + 1, theta.shape[-1]))
-        iterates[0] = theta
-    for k, x, z in zip(range(1, K + 1), xi, zeta):
-        theta = theta - a * drift(theta, z)
-        if b:
-            theta = theta + b * x
-        if record:
-            iterates[k] = theta
-    return iterates if record else theta
+    block = _block_steps(K, theta.shape[-1])
+    for k0 in range(0, K, block):
+        for _, x, z in zip(range(min(block, K - k0)), xi, zeta):
+            theta = theta - a * drift(theta, z)
+            if b:
+                theta = theta + b * x
+            yield theta
+        finite = np.isfinite(theta).all(axis=-1)
+        if not finite.all():
+            r = replicas[int(np.argmin(finite))]
+            raise FloatingPointError(
+                f"chain diverged: replica {r} is not finite after steps {k0 + 1}..{min(k0 + block, K)}"
+            )
 
 
-def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas: range, record=False):
-    """Advance config's chain from theta, one state per replica (see _advance)."""
+def _final(theta: np.ndarray, states: Iterable[np.ndarray]) -> np.ndarray:
+    """The last of states, or theta if there are none."""
+    for theta in states:
+        pass
+    return theta
+
+
+def _record(theta: np.ndarray, states: Iterable[np.ndarray], K: int) -> np.ndarray:
+    """Iterates (K + 1, p): theta, then the K states."""
+    iterates = np.empty((K + 1, theta.shape[-1]))
+    iterates[0] = theta
+    for k, state in enumerate(states, 1):
+        iterates[k] = state
+    return iterates
+
+
+def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas: range) -> Iterator[np.ndarray]:
+    """The states of config's chain from theta, one state per replica (see _advance)."""
     oracle, h = config.oracle, config.h
     if oracle.mode == "subsampled":
         rngs = [noise_stream(config.seed, r, ZETA_STREAM) for r in replicas]
@@ -306,7 +345,7 @@ def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas
     else:  # zeta_k is None for the exact oracle
         drift = lambda x, z: target.grad(x) if z is None else target.grad(x) + oracle.sigma * z
     law = oracle.noise if oracle.mode == "gaussian" else None
-    return _advance(theta, config.K, h, drift, math.sqrt(2.0 * h), config.seed, replicas, law, record)
+    return _advance(theta, config.K, h, drift, math.sqrt(2.0 * h), config.seed, replicas, law)
 
 
 def _run_chain(
@@ -315,7 +354,7 @@ def _run_chain(
     t0 = time.perf_counter()
     _check_step_size(config.h, target)
     theta = _resolve_initial(initial, target, config.seed, replica)
-    iterates = _lmc(target, config, theta, range(replica, replica + 1), record=True)
+    iterates = _record(theta, _lmc(target, config, theta, range(replica, replica + 1)), config.K)
     return Trajectory(iterates, config, time.perf_counter() - t0, replica=replica)
 
 
@@ -351,7 +390,7 @@ def gradient_descent(
     """Plain descent iterates, shape (K + 1, dim); the zero-noise chain."""
     config = LmcConfig(h=h, K=K)
     theta = _resolve_initial(initial, target, 0, 0)
-    return _advance(theta, config.K, config.h, lambda x, z: target.grad(x), record=True)
+    return _record(theta, _advance(theta, config.K, config.h, lambda x, z: target.grad(x)), config.K)
 
 
 def run_tempered_lmc(
@@ -386,14 +425,14 @@ def run_tempered_lmc(
         # a = 1 with drift grad / M rounds exactly as the formula above
         drift = lambda x, z: target.grad(x) / M
         b, replicas = math.sqrt(2.0 * tau / M), range(replica, replica + 1)
-        iterates = _advance(theta, config.K, 1.0, drift, b, config.seed, replicas, record=True)
+        iterates = _record(theta, _advance(theta, config.K, 1.0, drift, b, config.seed, replicas), config.K)
     return Trajectory(iterates, config, time.perf_counter() - t0, replica=replica, tau=tau)
 
 
 def _chunk_rows(K: int, p: int) -> int:
-    # fill the noise budget while each re-key still draws min(K * p, 4096)
-    # values, since a re-key costs about as much as a few hundred draws
-    return max(1, min(4096, _NOISE_BUDGET // max(p, min(K * p, 4096))))
+    # fill _CHUNK_VALUES while each row still draws min(K * p, 4096) values
+    # per block, since a re-key costs about as much as a few hundred draws
+    return max(1, min(4096, _CHUNK_VALUES // max(p, min(K * p, 4096))))
 
 
 def final_states(
@@ -406,9 +445,12 @@ def final_states(
     algebra; its noise streams are exactly the same.  Results do not
     depend on the thread cap, and prefixes agree across different
     replica counts.  Chains advance together in chunks of replicas;
-    each chunk re-keys one Philox per replica and draws noise a block of
-    steps at a time, so memory does not grow with K.  The subsampled
-    oracle draws each row's batch from that replica's own stream.
+    each chunk re-keys one Philox per replica and draws about 4096 noise
+    values per replica at a time, so memory grows with neither K nor the
+    chunk's spare room: 32 replicas at p = 100 hold 1 MB of noise per
+    channel.  The subsampled oracle draws each row's batch from that
+    replica's own stream.  A replica whose state turns non-finite raises
+    FloatingPointError.
     """
     replicas = int(replicas)
     if replicas < 1:
@@ -424,16 +466,16 @@ def final_states(
             theta = np.stack([_resolve_initial(initial, target, seed, r) for r in rows])
         else:
             theta = np.tile(_resolve_initial(initial, target, seed, 0), (len(rows), 1))
-        out[r0 : rows.stop] = _lmc(target, config, theta, rows)
+        out[r0 : rows.stop] = _final(theta, _lmc(target, config, theta, rows))
 
     parallel_map(run_block, range(0, replicas, chunk))
     return out
 
 
-def _write_theta_csv(path, index: str, rows: np.ndarray) -> None:
-    """CSV with header index,theta_0,...,theta_{p-1}; line i is i, then rows[i] by repr."""
+def _write_theta_csv(path, index: str, rows: Iterable[np.ndarray], dim: int) -> None:
+    """CSV with header index,theta_0,...,theta_{dim-1}; line i is i, then rows[i] by repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(index + "," + ",".join(f"theta_{j}" for j in range(rows.shape[1])) + "\n")
+        fh.write(index + "," + ",".join(f"theta_{j}" for j in range(dim)) + "\n")
         for i, row in enumerate(rows):  # row by row: a whole .tolist() would hold every float at once
             fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
 
@@ -443,23 +485,109 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
     Floats are written with repr so the file round-trips bit for bit.
     """
-    _write_theta_csv(path, "k", traj.iterates)
+    _write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
+
+
+def _pairwise_plan(n: int) -> Iterator[Optional[int]]:
+    """numpy's pairwise summation of n values in postfix order: the
+    lengths of runs of at most _PAIRWISE_RUN (>= 128) values, and None
+    where the last two partial sums are added.  The split is numpy's
+    pairwise_sum (loops_utils.h): halve, rounded down to its 8-way unroll.
+    """
+    if n <= _PAIRWISE_RUN:
+        yield n
+        return
+    half = n // 2 - (n // 2) % 8
+    yield from _pairwise_plan(half)
+    yield from _pairwise_plan(n - half)
+    yield None
+
+
+class _PathMean:
+    """np.mean(iterates, axis=0) of n states fed one at a time, bit for bit.
+
+    numpy adds whole rows in order when p > 1, which a running sum
+    repeats.  A single column it sums pairwise instead; that order is
+    replayed by summing each run of _pairwise_plan with numpy and adding
+    the partial sums as the plan says.  Memory is O(p + _PAIRWISE_RUN).
+    """
+
+    def __init__(self, n: int, p: int) -> None:
+        self.n, self.last = n, None
+        self._sum = np.zeros(p)
+        self._plan = _pairwise_plan(n) if p == 1 else None
+        if self._plan is not None:
+            self._run, self._fill, self._want = np.empty(min(n, _PAIRWISE_RUN)), 0, next(self._plan)
+            self._partials: list = []
+
+    def add(self, row: np.ndarray) -> np.ndarray:
+        """Take the next state and return it unchanged."""
+        self.last = row
+        if self._plan is None:
+            self._sum += row
+            return row
+        self._run[self._fill] = row[0]
+        self._fill += 1
+        if self._fill == self._want:
+            self._partials.append(float(np.add.reduce(self._run[: self._fill])))
+            self._fill = 0
+            for self._want in self._plan:
+                if self._want is not None:
+                    break
+                right = self._partials.pop()
+                self._partials[-1] += right
+        return row
+
+    def value(self) -> np.ndarray:
+        total = self._sum if self._plan is None else self._sum + self._partials[-1]
+        return total / self.n
+
+
+def _summary(config: LmcConfig, iterations: int, replica: int, wall_time: float,
+             final: np.ndarray, path_mean: np.ndarray, tau: Optional[float] = None) -> dict:
+    summary = {
+        "dim": int(final.shape[0]),
+        "iterations": int(iterations),
+        "h": config.h,
+        "seed": config.seed,
+        "oracle": config.oracle.mode,
+        "sigma": config.oracle.sigma,
+        "replica": replica,
+        "wall_time_s": wall_time,
+        "final": [float(x) for x in final],
+        "path_mean": [float(x) for x in path_mean],
+    }
+    if tau is not None:
+        summary["tau"] = tau
+    return summary
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
     """JSON-ready run summary: config echo, final state, per-coordinate path means."""
-    summary = {
-        "dim": int(traj.iterates.shape[1]),
-        "iterations": int(traj.iterates.shape[0] - 1),
-        "h": traj.config.h,
-        "seed": traj.config.seed,
-        "oracle": traj.config.oracle.mode,
-        "sigma": traj.config.oracle.sigma,
-        "replica": traj.replica,
-        "wall_time_s": traj.wall_time,
-        "final": [float(x) for x in traj.iterates[-1]],
-        "path_mean": [float(x) for x in traj.iterates.mean(axis=0)],
-    }
-    if traj.tau is not None:
-        summary["tau"] = traj.tau
-    return summary
+    return _summary(traj.config, traj.iterates.shape[0] - 1, traj.replica, traj.wall_time,
+                    traj.iterates[-1], traj.iterates.mean(axis=0), traj.tau)
+
+
+def write_trajectory(
+    target: TargetPotential, config: LmcConfig, initial: InitialState, path, replica: int = 0
+) -> dict:
+    """Run one chain straight into a trajectory CSV and return its summary.
+
+    The file and the summary are those trajectory_to_csv and
+    trajectory_summary give for run_lmc or run_nlmc with the same
+    arguments, byte for byte, except wall_time_s, which here covers the
+    chain and the writing together.  Each state is written as the kernel
+    produces it, so memory does not grow with K.  If the chain fails, the
+    partial file is removed.
+    """
+    t0 = time.perf_counter()
+    _check_step_size(config.h, target)
+    theta = _resolve_initial(initial, target, config.seed, replica)
+    path_mean = _PathMean(config.K + 1, target.dim)
+    states = chain([theta], _lmc(target, config, theta, range(replica, replica + 1)))
+    try:
+        _write_theta_csv(path, "k", map(path_mean.add, states), target.dim)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+    return _summary(config, config.K, replica, time.perf_counter() - t0, path_mean.last, path_mean.value())

@@ -66,17 +66,24 @@ class QuadraticSpec:
         prec = np.asarray(self.precision, dtype=float)
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
+        if mean.size == 0:
+            raise ValueError("mean must have at least one entry, got none")
         _require_finite("mean", mean)
         if prec.shape != (mean.size, mean.size):
             raise ValueError(
-                f"precision must have shape {(mean.size, mean.size)}, got {prec.shape}"
+                f"precision must have shape {(mean.size, mean.size)} to match the "
+                f"{mean.size} entries of mean, got {prec.shape}"
             )
         _require_finite("precision", prec)
         asym = float(np.abs(prec - prec.T).max()) if prec.size else 0.0
         scale = max(float(np.abs(prec).max()), 1.0) if prec.size else 1.0
         if asym > _SYM_TOL * scale:
             raise ValueError(f"precision is not symmetric: max |A - A'| = {asym:.3e}")
-        prec = (prec + prec.T) / 2.0
+        with np.errstate(over="ignore"):
+            sym = (prec + prec.T) / 2.0
+        if not np.isfinite(sym).all():  # entries near the float limit: halve before adding
+            sym = prec / 2.0 + prec.T / 2.0
+        prec = sym
         mean.flags.writeable = False
         prec.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -172,6 +179,8 @@ def quadratic_target(mean: np.ndarray, precision: np.ndarray) -> TargetPotential
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
         raise ValueError(f"precision must be positive definite; smallest eigenvalue is {lo:.6e}")
+    if not math.isfinite(hi):
+        raise ValueError(f"precision's largest eigenvalue overflows: M = {hi}")
     mu, A = spec.mean, spec.precision
 
     def _eval(theta: np.ndarray) -> np.ndarray:
@@ -215,9 +224,15 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     ridge = float(ridge)
     if not 0.0 < ridge < math.inf:
         raise ValueError(f"ridge must be positive (it supplies strong convexity) and finite, got {ridge}")
-    gram_top = float(np.linalg.eigvalsh(X.T @ X)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X.T @ X
+    if not np.isfinite(gram).all():
+        raise ValueError("X is too large: X'X overflows, so M = ridge + lambda_max(X'X) / 4 is not finite")
+    gram_top = float(np.linalg.eigvalsh(gram)[-1])
     m = ridge
     M = ridge + 0.25 * gram_top
+    if not math.isfinite(M):
+        raise ValueError(f"ridge and X are too large: M = ridge + lambda_max(X'X) / 4 = {M}")
 
     def _eval(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -309,6 +324,18 @@ def temper(target: TargetPotential, tau: float) -> TargetPotential:
     )
 
 
+def _numbers(payload: dict, name: str, ndim: Optional[int] = None) -> np.ndarray:
+    """payload[name] as a float array; ValueError naming the field if it is not one."""
+    try:
+        values = np.asarray(payload[name], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or (ndim is not None and values.ndim != ndim):
+        kind = "a number" if ndim == 0 else "numbers in a rectangular array"
+        raise ValueError(f"{name} must be {kind}, got {json.dumps(payload[name])[:60]}")
+    return values
+
+
 def target_from_dict(payload: dict) -> TargetPotential:
     """Build a target from a JSON-style dict.
 
@@ -324,15 +351,13 @@ def target_from_dict(payload: dict) -> TargetPotential:
         missing = [k for k in ("mean", "precision") if k not in payload]
         if missing:
             raise ValueError(f"quadratic target is missing fields: {', '.join(missing)}")
-        return quadratic_target(np.asarray(payload["mean"], dtype=float),
-                                np.asarray(payload["precision"], dtype=float))
+        return quadratic_target(_numbers(payload, "mean"), _numbers(payload, "precision"))
     if kind == "logistic":
         missing = [k for k in ("X", "y", "ridge") if k not in payload]
         if missing:
             raise ValueError(f"logistic target is missing fields: {', '.join(missing)}")
-        return logistic_target(np.asarray(payload["X"], dtype=float),
-                               np.asarray(payload["y"], dtype=float),
-                               float(payload["ridge"]))
+        return logistic_target(_numbers(payload, "X"), _numbers(payload, "y"),
+                               float(_numbers(payload, "ridge", ndim=0)))
     raise ValueError(f"unknown target type: {kind!r} (expected 'quadratic' or 'logistic')")
 
 

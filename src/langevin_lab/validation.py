@@ -92,14 +92,15 @@ def check_lmc_bound_validity(
             bound = lmc_core(target.m, target.M, hs, np.array(checkpoints)[:, None], p, w2_0)[0]
             margin = exact - bound
             cells += margin.size
-            # fmax skips NaN cells (the exact W2 is NaN at k = 0 where h * lambda = 1)
             worst = float(np.fmax.reduce(margin, axis=None, initial=worst))
-            bad = margin > slack + slack * np.abs(bound)
+            # a non-finite margin fails too: such a cell shows no domination
+            bad = ~np.isfinite(margin) | (margin > slack + slack * np.abs(bound))
             if bad.any() and not first_bad:
                 r, c = np.argwhere(bad)[0]  # checkpoint-major, as the cells are counted
+                verdict = f"by {margin[r, c]:.3e}" if np.isfinite(margin[r, c]) else "(margin not finite)"
                 first_bad = (
                     f"p={p} h={hs[c]:.6g} K={checkpoints[r]}: exact W2 {exact[r, c]:.12g} exceeds "
-                    f"bound {bound[r, c]:.12g} by {margin[r, c]:.3e}"
+                    f"bound {bound[r, c]:.12g} {verdict}"
                 )
     return CheckResult("lmc bound dominates exact W2", not first_bad, cells, worst, first_bad)
 

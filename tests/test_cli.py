@@ -349,3 +349,33 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"langevin-lab {__version__}"
+
+
+class TestChainHealth:
+    @pytest.mark.parametrize("replicas", ["1", "3"])
+    def test_diverging_chain_exits_one_and_names_the_replica(self, replicas, tmp_path, capsys):
+        target = tmp_path / "m5.json"  # M = 5, so h = 0.5 is beyond 2/M = 0.4
+        target.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 0.0],
+                                      "precision": [[1.0, 0.0], [0.0, 5.0]]}))
+        out = tmp_path / "chain.csv"
+        with pytest.warns(RuntimeWarning, match="2/M"):
+            code = main(["sample", "--target", str(target), "--h", "0.5", "--K", "2000",
+                         "--replicas", replicas, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "chain diverged: replica 0 is not finite after steps 1..2000" in captured.err
+        assert "--h 0.5" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        assert not (tmp_path / "chain.summary.json").exists()
+        assert not (tmp_path / "chain.csv.manifest.json").exists()
+
+
+def test_figure1_point_where_the_baseline_needs_fewer_iterations(tmp_path, capsys):
+    # k_lmc <= k_baseline is not a theorem: at M/m = 3.5 the squared form certifies sooner
+    out = tmp_path / "fig.csv"
+    code = main(["figure1", "--m", "2", "--M", "7", "--eps", "0.1", "--p-values", "3",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:4] == ["3", "0.1", "40123", "39595"]

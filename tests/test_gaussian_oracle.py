@@ -289,3 +289,15 @@ def test_warmed_spec_needs_no_further_eigendecompositions(monkeypatch, rng):
     distances = [gaussian_w2(moments_after_k(spec, theta0, 0.05, k), target) for k in (10, 100, 300)]
     assert calls == []
     assert all(math.isfinite(w) and w > 0.0 for w in distances)
+
+
+def test_zero_steps_at_unit_step_curvature_is_the_start():
+    from langevin_lab.gaussian_oracle import _point_start_w2
+
+    # h * lambda = 1 at k = 0 once read 0 * log1p(-1) = NaN for the variance
+    spec = QuadraticSpec(np.zeros(1), np.array([[4.0]]))
+    w2 = _point_start_w2(spec, np.array([1.0]), np.array([0.25, 0.2]), [0, 1])
+    assert w2[0, 0] == math.sqrt(1.25) and w2[0, 1] == math.sqrt(1.25)
+    assert np.all(np.isfinite(w2))
+    law = moments_after_k(spec, np.array([1.0]), 0.25, 0)
+    assert np.array_equal(law.mean, [1.0]) and np.array_equal(law.cov, [[0.0]])

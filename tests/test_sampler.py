@@ -483,3 +483,102 @@ class TestTrajectoryIo:
     def test_summary_includes_tau_for_tempered_chains(self, gauss2):
         t = run_tempered_lmc(gauss2, 2.0, 3, seed=1, initial=np.zeros(2))
         assert trajectory_summary(t)["tau"] == 2.0
+
+
+class TestBoundedMemory:
+    def test_final_states_noise_buffers_are_per_replica_blocks(self, rng):
+        # 32 replicas x K=1000 x p=100: about 4096 noise values per replica per block,
+        # not a buffer filled for the whole chunk (8.2 MB traced before)
+        target = quadratic_target(np.zeros(100), make_spd(rng, 100))
+        config = LmcConfig(h=0.5 / target.M, K=1000)
+        final_states(target, config, np.zeros(100), replicas=2)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            final_states(target, config, np.zeros(100), replicas=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
+
+    def test_streamed_trajectory_memory_does_not_grow_with_k(self, rng, tmp_path):
+        target = quadratic_target(np.zeros(20), make_spd(rng, 20))
+
+        def peak(K):
+            config = LmcConfig(h=0.5 / target.M, K=K)
+            tracemalloc.start()
+            try:
+                sampler_mod.write_trajectory(target, config, np.zeros(20), tmp_path / "chain.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)
+        small, large = peak(300), peak(3000)
+        assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    K=st.integers(0, 700),
+    seed=st.integers(0, 2**20),
+    oracle=st.sampled_from(["exact", "gaussian", "rademacher"]),
+    budget=st.integers(1, 400),
+)
+def test_streamed_trajectory_equals_the_recorded_one(p, K, seed, oracle, budget, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("stream")
+    target = quadratic_target(np.arange(1.0, p + 1.0), np.diag(np.linspace(1.0, 4.0, p)))
+    if oracle == "exact":
+        cfg, runner = LmcConfig(h=0.1, K=K, seed=seed), run_lmc
+    else:
+        law = GradientOracle(mode="gaussian", sigma=0.4, noise="gaussian" if oracle == "gaussian" else oracle)
+        cfg, runner = LmcConfig(h=0.1, K=K, seed=seed, oracle=law), run_nlmc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
+        mp.setattr(sampler_mod, "_PAIRWISE_RUN", 128)  # several pairwise runs already at K ~ 300
+        streamed = sampler_mod.write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv", replica=2)
+    traj = runner(target, cfg, np.full(p, -0.5), replica=2)
+    trajectory_to_csv(traj, tmp / "recorded.csv")
+    assert (tmp / "streamed.csv").read_bytes() == (tmp / "recorded.csv").read_bytes()
+    recorded = trajectory_summary(traj)
+    del streamed["wall_time_s"], recorded["wall_time_s"]
+    assert streamed == recorded and list(streamed) == list(recorded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 20_000), p=st.integers(1, 3), seed=st.integers(0, 2**20))
+def test_path_mean_is_numpys_mean_bit_for_bit(n, p, seed):
+    # a single column is summed pairwise by numpy, several columns row by row
+    r = np.random.Generator(np.random.Philox(key=[seed, 3]))
+    rows = r.standard_normal((n, p)) * np.exp(4.0 * r.standard_normal((n, p)))
+    acc = sampler_mod._PathMean(n, p)
+    for row in rows:
+        acc.add(row)
+    assert np.array_equal(acc.value(), rows.mean(axis=0))
+    assert np.array_equal(acc.last, rows[-1])
+
+
+class TestChainHealth:
+    def test_kernel_names_the_first_non_finite_replica_and_block(self, monkeypatch):
+        monkeypatch.setattr(sampler_mod, "_NOISE_BUDGET", 3)  # p = 1: blocks of 3 steps
+        growth = np.array([[0.0], [-1e100], [0.0]])  # replica 11 grows 1e100-fold per step
+        states = sampler_mod._advance(np.ones((3, 1)), 10, 1.0, lambda x, z: growth * x,
+                                      replicas=range(10, 13))
+        with pytest.raises(FloatingPointError, match=r"replica 11 is not finite after steps 4\.\.6"):
+            list(states)
+
+    def test_diverging_replicas_raise(self, gauss2):
+        with pytest.warns(RuntimeWarning, match="2/M"):
+            with pytest.raises(FloatingPointError, match=r"replica 0 is not finite"):
+                final_states(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), replicas=3)
+
+    def test_diverging_trajectory_raises_and_leaves_no_file(self, gauss2, tmp_path):
+        out = tmp_path / "chain.csv"
+        with pytest.warns(RuntimeWarning, match="2/M"):
+            with pytest.raises(FloatingPointError, match=r"replica 0 is not finite"):
+                sampler_mod.write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
+        assert not out.exists()
+
+    def test_non_finite_initial_state_is_rejected(self, gauss2):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            run_lmc(gauss2, small_config(), np.array([0.0, np.nan]))

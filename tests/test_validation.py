@@ -183,3 +183,17 @@ def _per_trial_noise_dominance(seed, trials):
 def test_vectorized_trial_checks_equal_per_trial_loops(seed, trials, rtol):
     assert check_regime_continuity(seed, trials, rtol) == _per_trial_continuity(seed, trials, rtol)
     assert check_noise_dominance(seed, trials) == _per_trial_noise_dominance(seed, trials)
+
+
+def test_validity_sweep_counts_a_non_finite_cell_as_a_failure(monkeypatch):
+    import langevin_lab.validation as validation_mod
+
+    def with_nan_cell(spec, theta0, hs, ks):
+        exact = _point_start_w2(spec, theta0, hs, ks)
+        exact[0, 1] = np.nan
+        return exact
+
+    monkeypatch.setattr(validation_mod, "_point_start_w2", with_nan_cell)
+    got = check_lmc_bound_validity(0, (1,), 1, 3, (0, 1))
+    assert not got.passed
+    assert "K=0" in got.detail and "margin not finite" in got.detail
