@@ -21,12 +21,15 @@ checks at the end of each block that every state is still finite.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -430,9 +433,12 @@ def run_tempered_lmc(
 
 
 def _chunk_rows(K: int, p: int) -> int:
-    # fill _CHUNK_VALUES while each row still draws min(K * p, 4096) values
-    # per block, since a re-key costs about as much as a few hundred draws
-    return max(1, min(4096, _CHUNK_VALUES // max(p, min(K * p, 4096))))
+    # fill _CHUNK_VALUES with noise blocks, at most 4096 rows.  A row's
+    # block, _block_steps(K, p) * p values, is at most the divisor below
+    # for any _NOISE_BUDGET; dividing by the exact block size would move
+    # chunk edges where p does not divide the budget, and a different row
+    # count regroups the BLAS sums and changes final states in the last bit
+    return max(1, min(4096, _CHUNK_VALUES // max(p, min(K * p, _NOISE_BUDGET))))
 
 
 def final_states(
@@ -472,9 +478,41 @@ def final_states(
     return out
 
 
+@contextmanager
+def _replacing(path) -> Iterator[TextIO]:
+    """Text file whose contents replace path only when the block succeeds.
+
+    Writes go to the sibling path + ".partial", which os.replace then
+    moves onto path (through symlinks, keeping an existing file's mode);
+    on any failure only that file is removed, so an existing path keeps
+    its bytes.  A path that exists but cannot be opened for writing fails
+    first, as a plain open would.
+    """
+    path = Path(os.path.realpath(path))
+    try:
+        with open(path, "rb+") as existing:  # neither creates nor truncates
+            mode = os.fstat(existing.fileno()).st_mode
+    except FileNotFoundError:
+        mode = None
+    partial = path.with_name(path.name + ".partial")
+    fh = open(partial, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        if mode is not None:
+            os.chmod(partial, stat.S_IMODE(mode))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_theta_csv(path, index: str, rows: Iterable[np.ndarray], dim: int) -> None:
-    """CSV with header index,theta_0,...,theta_{dim-1}; line i is i, then rows[i] by repr."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """CSV with header index,theta_0,...,theta_{dim-1}; line i is i, then rows[i] by repr.
+
+    The file appears at path only once every row is written (_replacing).
+    """
+    with _replacing(path) as fh:
         fh.write(index + "," + ",".join(f"theta_{j}" for j in range(dim)) + "\n")
         for i, row in enumerate(rows):  # row by row: a whole .tolist() would hold every float at once
             fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
@@ -568,26 +606,20 @@ def trajectory_summary(traj: Trajectory) -> dict:
                     traj.iterates[-1], traj.iterates.mean(axis=0), traj.tau)
 
 
-def write_trajectory(
-    target: TargetPotential, config: LmcConfig, initial: InitialState, path, replica: int = 0
-) -> dict:
-    """Run one chain straight into a trajectory CSV and return its summary.
+def write_trajectory(target: TargetPotential, config: LmcConfig, initial: InitialState, path) -> dict:
+    """Run replica 0's chain straight into a trajectory CSV and return its summary.
 
     The file and the summary are those trajectory_to_csv and
     trajectory_summary give for run_lmc or run_nlmc with the same
     arguments, byte for byte, except wall_time_s, which here covers the
     chain and the writing together.  Each state is written as the kernel
-    produces it, so memory does not grow with K.  If the chain fails, the
-    partial file is removed.
+    produces it, so memory does not grow with K.  If the chain fails,
+    path is left as it was.
     """
     t0 = time.perf_counter()
     _check_step_size(config.h, target)
-    theta = _resolve_initial(initial, target, config.seed, replica)
+    theta = _resolve_initial(initial, target, config.seed, 0)
     path_mean = _PathMean(config.K + 1, target.dim)
-    states = chain([theta], _lmc(target, config, theta, range(replica, replica + 1)))
-    try:
-        _write_theta_csv(path, "k", map(path_mean.add, states), target.dim)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
-    return _summary(config, config.K, replica, time.perf_counter() - t0, path_mean.last, path_mean.value())
+    states = chain([theta], _lmc(target, config, theta, range(1)))
+    _write_theta_csv(path, "k", map(path_mean.add, states), target.dim)
+    return _summary(config, config.K, 0, time.perf_counter() - t0, path_mean.last, path_mean.value())

@@ -370,6 +370,34 @@ class TestChainHealth:
         assert not (tmp_path / "chain.summary.json").exists()
         assert not (tmp_path / "chain.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("replicas", ["1", "3"])
+    def test_diverging_rerun_leaves_the_previous_outputs_as_they_were(self, replicas, tmp_path, capsys):
+        target = tmp_path / "m5.json"
+        target.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 0.0],
+                                      "precision": [[1.0, 0.0], [0.0, 5.0]]}))
+        out = tmp_path / "chain.csv"
+        args = ["sample", "--target", str(target), "--K", "50", "--replicas", replicas, "--out", str(out)]
+        assert main(args + ["--h", "0.1"]) == 0
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        with pytest.warns(RuntimeWarning, match="2/M"):
+            assert main(args + ["--h", "0.5", "--K", "2000"]) == 1
+        capsys.readouterr()
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("replicas", ["1", "3"])
+    def test_out_that_cannot_be_written_is_left_alone(self, replicas, tmp_path, capsys):
+        target = tmp_path / "m5.json"
+        target.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 0.0],
+                                      "precision": [[1.0, 0.0], [0.0, 5.0]]}))
+        out = tmp_path / "chain.csv"
+        out.mkdir()
+        code = main(["sample", "--target", str(target), "--h", "0.1", "--K", "50",
+                     "--replicas", replicas, "--out", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        assert out.is_dir() and list(out.iterdir()) == []
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["chain.csv", "m5.json"]
+
 
 def test_figure1_point_where_the_baseline_needs_fewer_iterations(tmp_path, capsys):
     # k_lmc <= k_baseline is not a theorem: at M/m = 3.5 the squared form certifies sooner

@@ -132,6 +132,17 @@ def test_final_states_do_not_depend_on_block_size(budget, chunk, K, seed, noise)
         assert np.array_equal(run_nlmc(_BLOCK_TARGET, cfg, init, replica=3).iterates, path)
 
 
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(0, 10**7), p=st.integers(1, 20_000), budget=st.integers(1, 2**16))
+def test_chunk_noise_stays_within_the_chunk_cap(K, p, budget):
+    # rows x one block of noise fit _CHUNK_VALUES whatever the noise budget,
+    # unless a single row's block is already larger
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
+        rows, block = sampler_mod._chunk_rows(K, p), sampler_mod._block_steps(K, p) * p
+    assert rows == 1 or rows * block <= sampler_mod._CHUNK_VALUES
+
+
 class TestConfigs:
     def test_oracle_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -536,8 +547,8 @@ def test_streamed_trajectory_equals_the_recorded_one(p, K, seed, oracle, budget,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
         mp.setattr(sampler_mod, "_PAIRWISE_RUN", 128)  # several pairwise runs already at K ~ 300
-        streamed = sampler_mod.write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv", replica=2)
-    traj = runner(target, cfg, np.full(p, -0.5), replica=2)
+        streamed = sampler_mod.write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv")
+    traj = runner(target, cfg, np.full(p, -0.5))
     trajectory_to_csv(traj, tmp / "recorded.csv")
     assert (tmp / "streamed.csv").read_bytes() == (tmp / "recorded.csv").read_bytes()
     recorded = trajectory_summary(traj)
@@ -577,7 +588,52 @@ class TestChainHealth:
         with pytest.warns(RuntimeWarning, match="2/M"):
             with pytest.raises(FloatingPointError, match=r"replica 0 is not finite"):
                 sampler_mod.write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diverging_trajectory_leaves_an_existing_file_as_it_was(self, gauss2, tmp_path):
+        out = tmp_path / "chain.csv"
+        sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
+        before = out.read_bytes()
+        with pytest.warns(RuntimeWarning, match="2/M"):
+            with pytest.raises(FloatingPointError, match=r"replica 0 is not finite"):
+                sampler_mod.write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
+
+
+class TestCsvReplacement:
+    def test_unopenable_path_is_left_alone(self, gauss2, tmp_path):
+        out = tmp_path / "chain.csv"
+        out.mkdir()
+        with pytest.raises(IsADirectoryError):
+            sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
+        assert out.is_dir() and list(out.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_partial_file_is_not_left_behind_after_a_failed_replace(self, gauss2, tmp_path, monkeypatch):
+        out = tmp_path / "chain.csv"
+        out.write_text("previous run\n")
+
+        def refuse(src, dst):
+            raise PermissionError("no")
+
+        monkeypatch.setattr(sampler_mod.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
+        assert out.read_text() == "previous run\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_writes_through_a_symlink_and_keeps_the_file_mode(self, gauss2, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        traj = run_lmc(gauss2, small_config(K=5), np.zeros(2))
+        trajectory_to_csv(traj, link)
+        assert link.is_symlink()
+        assert real.read_text().startswith("k,theta_0,theta_1\n")
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(tmp_path.iterdir()) == [link, real]
 
     def test_non_finite_initial_state_is_rejected(self, gauss2):
         with pytest.raises(ValueError, match="initial state must be finite"):
