@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import QuadraticSpec
+from .targets import QuadraticSpec, _require_finite
 
 __all__ = [
     "GaussianMoments",
@@ -119,10 +119,10 @@ def _mode_factors(lam: np.ndarray, h, k):
     At k = 0 the factors are exactly (1, 0), also where h lam = 1 and
     k * log1p(-d) would be 0 * -inf.
     """
-    d = h * lam * (2.0 - h * lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = h * lam * (2.0 - h * lam)
         var = np.where(d == 0.0, 2.0 * h * k, -2.0 * h * np.expm1(k * np.log1p(-d)) / d)
-    return (1.0 - h * lam) ** k, np.where(np.equal(k, 0), 0.0, var)
+        return (1.0 - h * lam) ** k, np.where(np.equal(k, 0), 0.0, var)
 
 
 def moments_after_k(
@@ -140,13 +140,15 @@ def moments_after_k(
         mean_k = mu + V (g^k * V'(mean_0 - mu))
         cov_k  = E^k cov_0 E^k + V diag(2h (1 - g^(2k)) / (1 - g^2)) V'
 
-    A deterministic start may be passed as a plain vector.  h > 0 is
-    required; transient step sizes (h lam > 2) are allowed.  From a
+    A deterministic start may be passed as a plain vector.  h > 0 and a
+    finite start mean are required; transient step sizes (h lam > 2) are
+    allowed until the law overflows, which raises ValueError.  From a
     point start, or a start law already in the target's eigenbasis, the
     result stays in that basis with per-mode variances g^2k var_0 + var.
     """
-    if float(h) <= 0.0:
-        raise ValueError(f"step size h must be positive, got {h}")
+    h = float(h)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
     k = int(k)
     if k < 0:
         raise ValueError(f"step count k must be nonnegative, got {k}")
@@ -154,10 +156,13 @@ def moments_after_k(
         init = point_mass(init)
     if init.dim != spec.dim:
         raise ValueError(f"init has dimension {init.dim} but the target has dimension {spec.dim}")
+    _require_finite("init", init.mean)
     if k == 0:
         return init
     lam, V = spec.eigenbasis
-    gk, var = _mode_factors(lam, float(h), k)
+    gk, var = _mode_factors(lam, h, k)
+    if not (np.isfinite(gk).all() and np.isfinite(var).all()):
+        raise ValueError(f"step size h={h!r} gives a non-finite law after k={k} steps")
     mean = spec.mean + V @ (gk * (V.T @ (init.mean - spec.mean)))
     if init._modes is not None and init._modes[0] is V:
         return _eigen_law(mean, V, gk * gk * init._modes[1] + var)
@@ -217,6 +222,8 @@ def empirical_w2_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
+    _require_finite("xs", xs)
+    _require_finite("ys", ys)
     if xs.size != ys.size:
         raise ValueError(f"samples must have equal size, got {xs.size} and {ys.size}")
     if xs.size == 0:
@@ -234,6 +241,7 @@ def w2_init_exact(spec: QuadraticSpec, theta0: np.ndarray) -> float:
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     if theta0.shape != spec.mean.shape:
         raise ValueError(f"theta0 must have shape {spec.mean.shape}, got {theta0.shape}")
+    _require_finite("theta0", theta0)
     w = np.linalg.eigvalsh(spec.precision)
     if w[0] <= 0.0:
         raise ValueError(f"precision must be positive definite; smallest eigenvalue is {w[0]:.6e}")

@@ -7,6 +7,7 @@ never results.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -34,10 +35,15 @@ def thread_cap() -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map fn over items with at most thread_cap() workers, preserving order."""
+    """Map fn over items with at most thread_cap() workers, preserving order.
+
+    Each call runs in a copy of the caller's context, so context-local
+    settings such as numpy's errstate hold in the workers as well.
+    """
     seq: Sequence[T] = list(items)
     workers = min(thread_cap(), len(seq)) if seq else 1
     if workers <= 1:
         return [fn(x) for x in seq]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+        contexts = [contextvars.copy_context() for _ in seq]
+        return list(pool.map(lambda context, x: context.run(fn, x), contexts, seq))

@@ -133,9 +133,12 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     """
     _check_common(m, M, p, w2_init, epsilon)
     p = int(p)
-    h_bias = m * m * epsilon * epsilon / (14.0 * M * M * p)
+    scale = 14.0 * M * M * p
+    h_bias = m * m * epsilon * epsilon / scale
     if math.isnan(h_bias):
         raise ValueError(f"m={m:g} and M={M:g} are too large to plan for: m^2 and M^2 overflow")
+    if math.isinf(scale):
+        raise ValueError(f"M={M:g} is too large to plan for: 14 M^2 p overflows")
     if not math.isfinite(2.0 * w2_init / epsilon):
         raise ValueError(f"w2_init={w2_init:g} is too large to plan for: 2 w2_init / epsilon overflows")
     boundary = 2.0 / (m + M)

@@ -27,7 +27,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
@@ -510,12 +510,23 @@ def _replacing(path) -> Iterator[TextIO]:
 def _write_theta_csv(path, index: str, rows: Iterable[np.ndarray], dim: int) -> None:
     """CSV with header index,theta_0,...,theta_{dim-1}; line i is i, then rows[i] by repr.
 
+    Rows are taken and encoded (_floattext) in blocks of about
+    _NOISE_BUDGET values, so memory does not grow with their number.
     The file appears at path only once every row is written (_replacing).
     """
+    from ._floattext import encode_rows
+
+    size = max(1, _NOISE_BUDGET // dim)
     with _replacing(path) as fh:
         fh.write(index + "," + ",".join(f"theta_{j}" for j in range(dim)) + "\n")
-        for i, row in enumerate(rows):  # row by row: a whole .tolist() would hold every float at once
-            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
+        if isinstance(rows, np.ndarray):  # already in memory: encode slices of it
+            for first in range(0, len(rows), size):
+                fh.write(encode_rows(rows[first : first + size], first))
+            return
+        rows, first = iter(rows), 0
+        while len(block := np.fromiter(islice(rows, size), np.dtype((float, dim)))):
+            fh.write(encode_rows(block, first))
+            first += len(block)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
@@ -612,9 +623,9 @@ def write_trajectory(target: TargetPotential, config: LmcConfig, initial: Initia
     The file and the summary are those trajectory_to_csv and
     trajectory_summary give for run_lmc or run_nlmc with the same
     arguments, byte for byte, except wall_time_s, which here covers the
-    chain and the writing together.  Each state is written as the kernel
-    produces it, so memory does not grow with K.  If the chain fails,
-    path is left as it was.
+    chain and the writing together.  States are written block by block
+    as the kernel produces them, so memory does not grow with K.  If the
+    chain fails, path is left as it was.
     """
     t0 = time.perf_counter()
     _check_step_size(config.h, target)

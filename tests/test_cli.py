@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ import pytest
 from langevin_lab import __version__
 from langevin_lab.cli import main
 from langevin_lab.sampler import GradientOracle, LmcConfig, final_states, run_lmc
-from langevin_lab.targets import load_target
+from langevin_lab.gaussian_oracle import gaussian_w2, moments_after_k, stationary_moments, w2_init_exact
+from langevin_lab.targets import QuadraticSpec, load_target
 
 
 @pytest.fixture
@@ -89,6 +91,13 @@ class TestExitCodes:
         code = main(["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "1e-300", "--w2init", "1"])
         assert code == 2
         assert "epsilon=1e-300 is too small" in capsys.readouterr().err
+
+    def test_overflowing_m_squared_plan_names_m(self, capsys):
+        code = main(["plan", "--m", "4", "--M", "1e308", "--p", "10", "--eps", "0.1", "--w2init", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "M=1e+308 is too large to plan for: 14 M^2 p overflows" in err
+        assert "epsilon" not in err
 
     def test_unreachable_precision_returns_one(self, tmp_path, capsys):
         code = main(["figure1", "--m", "4", "--M", "5", "--eps", "1e-9",
@@ -282,6 +291,35 @@ class TestValidateCommand:
         assert "all checks passed" in out
         assert out.count(": ok") == 5
 
+    def test_out_of_range_seed_exits_two_and_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--seed", "99999999999999999999999"])
+        assert exc.value.code == 2
+        assert "--seed: must be in [0, 2**64), got 99999999999999999999999" in capsys.readouterr().err
+
+
+def test_plan_then_sample_round_trip(tmp_path, capsys):
+    # the README quick start: start (3, -1) on diag(4, 5) planned for eps = 0.3
+    spec = QuadraticSpec(np.zeros(2), np.diag([4.0, 5.0]))
+    start = np.array([3.0, -1.0])
+    target = tmp_path / "diag45.json"
+    target.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 0.0], "precision": [[4.0, 0.0], [0.0, 5.0]]}))
+    assert main(["plan", "--m", "4", "--M", "5", "--p", "2", "--eps", "0.3",
+                 "--w2init", repr(w2_init_exact(spec, start))]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["h"] == pytest.approx(0.002057, abs=5e-7) and plan["K"] == 374
+    R, z_limit = 4000, 5.0  # a statistic more than 5 standard errors off fails
+    out = tmp_path / "finals.csv"
+    assert main(["sample", "--target", str(target), "--h", repr(plan["h"]), "--K", str(plan["K"]),
+                 "--replicas", str(R), "--init", "3,-1", "--seed", "8", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "finals.summary.json").read_text())
+    law = moments_after_k(spec, start, plan["h"], plan["K"])
+    var = np.diag(law.cov)
+    z_mean = np.abs(np.array(summary["final_mean"]) - law.mean) / np.sqrt(var / R)
+    z_var = np.abs(np.array(summary["final_variance"]) - var) / (var * np.sqrt(2.0 / (R - 1)))
+    assert z_mean.max() <= z_limit and z_var.max() <= z_limit, (z_mean, z_var)
+    assert gaussian_w2(law, stationary_moments(spec)) <= 0.3
+
 
 def test_parser_is_built_once_and_calls_share_no_state(quad_target_file, tmp_path, monkeypatch):
     from langevin_lab import cli
@@ -369,6 +407,27 @@ class TestChainHealth:
         assert not out.exists()
         assert not (tmp_path / "chain.summary.json").exists()
         assert not (tmp_path / "chain.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("replicas", ["1", "600"])
+    def test_diverging_run_prints_no_numpy_warnings(self, replicas, tmp_path):
+        # 600 replicas run in three chunks, so two worker threads share them
+        target = tmp_path / "d54.json"
+        target.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 0.0],
+                                      "precision": [[5.0, 0.0], [0.0, 4.0]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "langevin_lab", "sample", "--target", str(target), "--h", "0.5",
+             "--K", "2000", "--replicas", replicas, "--out", str(tmp_path / "chain.csv")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "LANGEVIN_LAB_THREADS": "2"},
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert "encountered" not in proc.stderr, proc.stderr
+        warned = [line for line in lines if "Warning" in line]
+        assert len(warned) == 1 and "RuntimeWarning: step size h=0.5 is at or beyond 2/M" in warned[0]
+        assert [line for line in lines if line.startswith("error:")] == [
+            "error: chain diverged: replica 0 is not finite after steps 1..2000 "
+            "(--h 0.5; the chain is stable only for h < 2/M = 0.4)"]
 
     @pytest.mark.parametrize("replicas", ["1", "3"])
     def test_diverging_rerun_leaves_the_previous_outputs_as_they_were(self, replicas, tmp_path, capsys):

@@ -301,3 +301,22 @@ def test_zero_steps_at_unit_step_curvature_is_the_start():
     assert np.all(np.isfinite(w2))
     law = moments_after_k(spec, np.array([1.0]), 0.25, 0)
     assert np.array_equal(law.mean, [1.0]) and np.array_equal(law.cov, [[0.0]])
+
+
+
+_DIAG45 = QuadraticSpec(np.zeros(2), np.diag([4.0, 5.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: moments_after_k(_DIAG45, np.zeros(2), math.nan, 3), "step size h must be positive and finite, got nan"),
+    (lambda: moments_after_k(_DIAG45, np.zeros(2), math.inf, 3), "step size h must be positive and finite, got inf"),
+    (lambda: moments_after_k(_DIAG45, np.ones(2), 1e300, 3), "step size h=1e+300 gives a non-finite law"),
+    (lambda: moments_after_k(_DIAG45, np.array([0.0, math.nan]), 0.1, 3), "init[1] must be finite, got nan"),
+    (lambda: w2_init_exact(_DIAG45, np.array([0.0, math.inf])), "theta0[1] must be finite, got inf"),
+    (lambda: empirical_w2_1d([1.0, 2.0, math.nan], [0.0, 1.0, 2.0]), "xs[2] must be finite, got nan"),
+    (lambda: empirical_w2_1d([1.0, 2.0], [-math.inf, 1.0]), "ys[0] must be finite, got -inf"),
+])
+def test_non_finite_input_raises_naming_the_argument(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert message in str(exc.value)
