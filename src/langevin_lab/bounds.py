@@ -30,6 +30,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._scalars import count, curvature, finite, nonnegative, positive
+
 __all__ = [
     "BoundInputs",
     "BoundReport",
@@ -55,11 +57,6 @@ LARGE_STEP = "large_step"
 _BOUNDARY_AGREEMENT_RTOL = 1e-9
 
 
-def _check_curvature(m: float, M: float) -> None:
-    if not (0.0 < m <= M and math.isfinite(M)):
-        raise ValueError(f"curvature constants must satisfy 0 < m <= M < inf, got m={m}, M={M}")
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Arguments shared by the bound evaluators.
@@ -78,29 +75,12 @@ class BoundInputs:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_curvature(float(self.m), float(self.M))
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "M", float(self.M))
-        h = float(self.h)
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError(f"step size h must be positive and finite, got {h}")
-        object.__setattr__(self, "h", h)
-        K = int(self.K)
-        if K < 0:
-            raise ValueError(f"iteration count K must be nonnegative, got {self.K}")
-        object.__setattr__(self, "K", K)
-        p = int(self.p)
-        if p < 1:
-            raise ValueError(f"dimension p must be at least 1, got {self.p}")
-        object.__setattr__(self, "p", p)
-        w2 = float(self.w2_init)
-        if not (w2 >= 0.0 and math.isfinite(w2)):
-            raise ValueError(f"w2_init must be nonnegative and finite, got {self.w2_init}")
-        object.__setattr__(self, "w2_init", w2)
-        sigma = float(self.sigma)
-        if not (sigma >= 0.0 and math.isfinite(sigma)):
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
-        object.__setattr__(self, "sigma", sigma)
+        m, M = curvature(self.m, self.M)
+        checked = dict(m=m, M=M, h=positive("step size h", self.h), K=count("iteration count K", self.K),
+                       p=count("dimension p", self.p, 1), w2_init=nonnegative("w2_init", self.w2_init),
+                       sigma=nonnegative("sigma", self.sigma))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def boundary(self) -> float:
@@ -252,7 +232,7 @@ def contraction_factor(m: float, M: float, h: float) -> float:
     Equals 1 - mh for h <= 2/(m + M) and Mh - 1 above; both are in
     [0, 1) on the admissible range 0 < h < 2/M.
     """
-    _check_curvature(m, M)
+    m, M = curvature(m, M)
     return float(lmc_core(m, M, h, 0, 1, 0.0)[1])
 
 
@@ -348,14 +328,10 @@ def init_w2_from_mean(dist2_to_mean: float, p: int, m: float) -> float:
     W2(point mass at theta0, target)^2 <= ||theta0 - mode||^2 + p/m,
     where dist2_to_mean is the squared distance to the minimizer of f.
     """
-    dist2 = float(dist2_to_mean)
-    if not (dist2 >= 0.0 and math.isfinite(dist2)):
-        raise ValueError(f"dist2_to_mean must be nonnegative and finite, got {dist2_to_mean}")
-    if int(p) < 1:
-        raise ValueError(f"dimension p must be at least 1, got {p}")
-    if not (float(m) > 0.0):
-        raise ValueError(f"m must be positive, got {m}")
-    return math.sqrt(dist2 + int(p) / float(m))
+    dist2, p, m = nonnegative("dist2_to_mean", dist2_to_mean), count("dimension p", p, 1), positive("m", m)
+    if not (w2 := math.sqrt(dist2 + p / m)) < math.inf:
+        raise ValueError(f"dist2_to_mean + p/m overflows: dist2_to_mean={dist2:g}, p={p:g}, m={m:g}")
+    return w2
 
 
 def init_w2_from_f(f_at_theta0: float, p: int, m: float, f_lower_bound: float = 0.0) -> float:
@@ -366,15 +342,15 @@ def init_w2_from_f(f_at_theta0: float, p: int, m: float, f_lower_bound: float = 
     supplies such a c (0 works whenever f >= 0).  Tighter c gives a
     tighter bound.
     """
-    if int(p) < 1:
-        raise ValueError(f"dimension p must be at least 1, got {p}")
-    if not (float(m) > 0.0):
-        raise ValueError(f"m must be positive, got {m}")
-    f0, c = float(f_at_theta0), float(f_lower_bound)
-    radicand = (2.0 / float(m)) * (f0 - c + int(p))
+    p, m = count("dimension p", p, 1), positive("m", m)
+    f0, c = finite("f_at_theta0", f_at_theta0), finite("f_lower_bound", f_lower_bound)
+    radicand = (2.0 / m) * (f0 - c + p)
     if radicand < 0.0:
         raise ValueError(
-            f"negative radicand: f(theta0) = {f0} lies more than p = {int(p)} "
-            f"below the stated lower bound {c}"
+            f"negative radicand: f_at_theta0 = {f0} lies more than p = {p} "
+            f"below the stated lower bound f_lower_bound = {c}"
         )
+    if not radicand < math.inf:
+        raise ValueError(f"(2/m)(f(theta0) - c + p) overflows: f_at_theta0={f0:g}, "
+                         f"f_lower_bound={c:g}, p={p:g}, m={m:g}")
     return math.sqrt(radicand)

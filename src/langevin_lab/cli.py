@@ -115,6 +115,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _emit_json(args: argparse.Namespace, payload: dict, started: float) -> int:
+    """Print payload as JSON and, with --out, also write it there with its manifest."""
+    print(json.dumps(payload, indent=2))
+    if args.out is not None:
+        out = Path(args.out)
+        _write_json(out, payload)
+        _write_manifest(out, args, [out], started)
+    return 0
+
+
 # A diverging chain overflows before its noise block ends and then raises
 # FloatingPointError, so numpy's overflow and invalid-value warnings, from
 # this thread or final_states' workers, would only repeat that error.
@@ -196,13 +206,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             payload = {"value": baseline_bound(inputs)}
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.write_text(text + "\n", encoding="utf-8")
-        _write_manifest(out, args, [out], started)
-    return 0
+    return _emit_json(args, payload, started)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -211,14 +215,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         plan = plan_for_epsilon(args.m, args.M, args.p, args.w2init, args.eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    payload = plan.as_dict()
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out is not None:
-        out = Path(args.out)
-        out.write_text(text + "\n", encoding="utf-8")
-        _write_manifest(out, args, [out], started)
-    return 0
+    return _emit_json(args, plan.as_dict(), started)
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:

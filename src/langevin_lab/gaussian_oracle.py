@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scalars import count, positive
 from .targets import QuadraticSpec, _require_finite
 
 __all__ = [
@@ -146,12 +147,7 @@ def moments_after_k(
     point start, or a start law already in the target's eigenbasis, the
     result stays in that basis with per-mode variances g^2k var_0 + var.
     """
-    h = float(h)
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step size h must be positive and finite, got {h}")
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"step count k must be nonnegative, got {k}")
+    h, k = positive("step size h", h), count("step count k", k)
     if not isinstance(init, GaussianMoments):
         init = point_mass(init)
     if init.dim != spec.dim:

@@ -23,8 +23,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from ._scalars import count, curvature, finite, nonnegative, positive
 from .bounds import BoundInputs, baseline_terms, baseline_value, init_w2_from_mean, lmc_bound
-from .bounds import _check_curvature, lmc_terms_small_step, lmc_value_small_step
+from .bounds import lmc_terms_small_step, lmc_value_small_step
 from .parallel import parallel_map
 
 __all__ = [
@@ -91,14 +92,9 @@ class CurvePoint:
         return {**asdict(self), "ratio": self.ratio}
 
 
-def _check_common(m: float, M: float, p: int, w2_init: float, epsilon: float) -> None:
-    _check_curvature(m, M)
-    if int(p) < 1:
-        raise ValueError(f"dimension p must be at least 1, got {p}")
-    if not (w2_init >= 0.0 and math.isfinite(w2_init)):
-        raise ValueError(f"w2_init must be nonnegative and finite, got {w2_init}")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+def _check_common(m, M, p, w2_init, epsilon) -> tuple[float, float, int, float, float]:
+    m, M = curvature(m, M)
+    return m, M, count("dimension p", p, 1), nonnegative("w2_init", w2_init), positive("epsilon", epsilon)
 
 
 def default_h_grid(
@@ -110,13 +106,12 @@ def default_h_grid(
     the span covers nine decades by default so that tight precisions
     stay reachable in high dimension.
     """
-    _check_curvature(m, M)
-    if int(size) < 2:
-        raise ValueError(f"grid size must be at least 2, got {size}")
-    if not (float(span) > 1.0):
+    m, M = curvature(m, M)
+    size, span = count("grid size", size, 2), finite("grid span", span)
+    if not span > 1.0:
         raise ValueError(f"grid span must exceed 1, got {span}")
     hi = 2.0 / (m + M)
-    return np.geomspace(hi / span, hi, int(size))
+    return np.geomspace(hi / span, hi, size)
 
 
 def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float) -> Plan:
@@ -131,8 +126,7 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     re-evaluates the closed-form bound at (h, K) and is guaranteed to be
     at most epsilon.
     """
-    _check_common(m, M, p, w2_init, epsilon)
-    p = int(p)
+    m, M, p, w2_init, epsilon = _check_common(m, M, p, w2_init, epsilon)
     scale = 14.0 * M * M * p
     h_bias = m * m * epsilon * epsilon / scale
     if math.isnan(h_bias):
@@ -144,11 +138,12 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     boundary = 2.0 / (m + M)
     h = min(h_bias, boundary)
     binding = "bias" if h < boundary else "boundary"
-    if not 1.0 - m * h < 1.0:
-        raise ValueError(
-            f"epsilon={epsilon:g} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) "
-            f"= {h:g} leaves the contraction factor 1 - m h at 1 in floating point"
-        )
+    if not 1.0 - m * h < 1.0:  # a larger epsilon helps only where the boundary step contracts
+        cause = (f"epsilon={epsilon:g} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) = {h:g}"
+                 if 1.0 - m * boundary < 1.0 else
+                 f"M/m = {M / m:g} is too large to plan for (m={m:g}, M={M:g}): even the boundary step "
+                 f"h = 2/(m+M) = {boundary:g}")
+        raise ValueError(f"{cause} leaves the contraction factor 1 - m h at 1 in floating point")
     log_ratio = math.log(2.0 * w2_init / epsilon) if 2.0 * w2_init > epsilon else 0.0
     K = 0
     # the float 1 - m h can round up so far that -log(1 - m h) < m h; only where
@@ -163,14 +158,7 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
             f"planned (h={h:g}, K={K}) certifies {predicted:.6g} > epsilon={epsilon:g}; "
             f"this should be impossible and indicates a bug"
         )
-    return Plan(
-        epsilon=epsilon,
-        h=h,
-        K=K,
-        predicted_bound=predicted,
-        binding=binding,
-        zero_iterations=(K == 0),
-    )
+    return Plan(epsilon, h, K, predicted, binding, zero_iterations=(K == 0))
 
 
 ValueFn = Callable[..., np.ndarray]
@@ -200,8 +188,8 @@ def _minimal_k(
     m: float, M: float, p: int, w2_init: float, epsilon: float,
     h_grid: Optional[np.ndarray], k_cap: int,
 ) -> int:
-    _check_common(m, M, p, w2_init, epsilon)
-    p = int(p)
+    m, M, p, w2_init, epsilon = _check_common(m, M, p, w2_init, epsilon)
+    k_cap = count("k_cap", k_cap)
     grid = _validate_grid(h_grid, m, M)
 
     def values(g: np.ndarray, ks: list[int]) -> np.ndarray:
@@ -257,29 +245,15 @@ def _minimal_k(
     return k1 if found is None else min(k1, found[0])
 
 
-def minimal_k_lmc(
-    m: float,
-    M: float,
-    p: int,
-    w2_init: float,
-    epsilon: float,
-    h_grid: Optional[np.ndarray] = None,
-    k_cap: int = DEFAULT_K_CAP,
-) -> int:
+def minimal_k_lmc(m: float, M: float, p: int, w2_init: float, epsilon: float,
+                  h_grid: Optional[np.ndarray] = None, k_cap: int = DEFAULT_K_CAP) -> int:
     """Smallest K such that some grid step certifies W2 error <= epsilon
     under the exact-gradient chain bound."""
     return _minimal_k(lmc_value_small_step, lmc_terms_small_step, 1, m, M, p, w2_init, epsilon, h_grid, k_cap)
 
 
-def minimal_k_baseline(
-    m: float,
-    M: float,
-    p: int,
-    w2_init: float,
-    epsilon: float,
-    h_grid: Optional[np.ndarray] = None,
-    k_cap: int = DEFAULT_K_CAP,
-) -> int:
+def minimal_k_baseline(m: float, M: float, p: int, w2_init: float, epsilon: float,
+                       h_grid: Optional[np.ndarray] = None, k_cap: int = DEFAULT_K_CAP) -> int:
     """Smallest K certified by the squared-form comparison bound."""
     return _minimal_k(baseline_value, baseline_terms, 2, m, M, p, w2_init, epsilon, h_grid, k_cap)
 
@@ -303,8 +277,8 @@ def figure1_curves(
     is above about 1.22 (m=2, M=7, eps=0.1, p=3 gives 40,123 against
     39,595).
     """
-    eps_list = [float(e) for e in epsilons]
-    p_list = [int(p) for p in p_values]
+    eps_list = [positive("epsilon", e) for e in epsilons]
+    p_list = [count("dimension p", p, 1) for p in p_values]
     if not eps_list or not p_list:
         raise ValueError("epsilons and p_values must be nonempty")
     grid = default_h_grid(m, M, size=grid_size, span=span)

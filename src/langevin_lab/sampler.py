@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
+from ._scalars import count, nonnegative, positive
 from .parallel import parallel_map
 from .targets import TargetPotential
 
@@ -75,10 +76,6 @@ InitialState = Union[np.ndarray, Callable[[np.random.Generator], np.ndarray]]
 
 def _stream_keys(seed: int, replicas: range, channel: int) -> list:
     """Philox keys [seed, 4 * replica + channel] of a run of replicas."""
-    if not (0 <= channel < _CHANNELS_PER_REPLICA):
-        raise ValueError(f"channel must be in [0, {_CHANNELS_PER_REPLICA}), got {channel}")
-    if replicas.start < 0:
-        raise ValueError(f"replica must be nonnegative, got {replicas.start}")
     last = replicas.stop - 1
     if _CHANNELS_PER_REPLICA * last + channel >= 2**64:
         raise ValueError(f"replica {last} is too large: 4 * replica + channel must be below 2**64")
@@ -92,6 +89,8 @@ def noise_stream(seed: int, replica: int, channel: int) -> np.random.Generator:
     given triple always yields the same draws, regardless of how many
     other replicas run or in what order.
     """
+    seed, replica = count("seed", seed, below=2**64), count("replica", replica)
+    channel = count("channel", channel, below=_CHANNELS_PER_REPLICA)
     key = np.array(_stream_keys(seed, range(replica, replica + 1), channel)[0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -160,15 +159,11 @@ class GradientOracle:
             raise ValueError(
                 f"oracle mode must be 'exact', 'gaussian' or 'subsampled', got {self.mode!r}"
             )
-        sigma = float(self.sigma)
-        if not (sigma >= 0.0 and math.isfinite(sigma)):
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        sigma = nonnegative("sigma", self.sigma)
         if self.mode == "exact" and sigma != 0.0:
             raise ValueError("sigma must be 0 for the exact oracle; use mode='gaussian'")
         object.__setattr__(self, "sigma", sigma)
-        if int(self.batch) < 1:
-            raise ValueError(f"batch must be at least 1, got {self.batch}")
-        object.__setattr__(self, "batch", int(self.batch))
+        object.__setattr__(self, "batch", count("batch", self.batch, 1))
         if self.noise not in ("gaussian", "rademacher"):
             raise ValueError(f"noise law must be 'gaussian' or 'rademacher', got {self.noise!r}")
 
@@ -183,18 +178,9 @@ class LmcConfig:
     oracle: GradientOracle = field(default_factory=GradientOracle)
 
     def __post_init__(self) -> None:
-        h = float(self.h)
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError(f"step size h must be positive and finite, got {self.h}")
-        object.__setattr__(self, "h", h)
-        K = int(self.K)
-        if K < 0:
-            raise ValueError(f"iteration count K must be nonnegative, got {self.K}")
-        object.__setattr__(self, "K", K)
-        seed = int(self.seed)
-        if not (0 <= seed < _MAX_SEED):
-            raise ValueError(f"seed must be in [0, {_MAX_SEED}), got {self.seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "h", positive("step size h", self.h))
+        object.__setattr__(self, "K", count("iteration count K", self.K))
+        object.__setattr__(self, "seed", count("seed", self.seed, below=_MAX_SEED))
 
 
 @dataclass(frozen=True)
@@ -242,8 +228,9 @@ def _resolve_initial(
 
 def lmc_step(state: np.ndarray, target: TargetPotential, h: float, noise: np.ndarray) -> np.ndarray:
     """One update with an exact gradient and externally supplied noise."""
-    if not (float(h) > 0.0):
-        raise ValueError(f"step size h must be positive, got {h}")
+    h = positive("step size h", h)
+    if not 2.0 * h < math.inf:
+        raise ValueError(f"step size h={h} is too large: the noise scale sqrt(2h) overflows")
     state = np.asarray(state, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if state.shape[-1] != target.dim:
@@ -355,6 +342,7 @@ def _run_chain(
     target: TargetPotential, config: LmcConfig, initial: InitialState, replica: int
 ) -> Trajectory:
     t0 = time.perf_counter()
+    replica = count("replica", replica)
     _check_step_size(config.h, target)
     theta = _resolve_initial(initial, target, config.seed, replica)
     iterates = _record(theta, _lmc(target, config, theta, range(replica, replica + 1)), config.K)
@@ -396,14 +384,8 @@ def gradient_descent(
     return _record(theta, _advance(theta, config.K, config.h, lambda x, z: target.grad(x)), config.K)
 
 
-def run_tempered_lmc(
-    target: TargetPotential,
-    tau: float,
-    K: int,
-    seed: int = 0,
-    initial: InitialState = None,
-    replica: int = 0,
-) -> Trajectory:
+def run_tempered_lmc(target: TargetPotential, tau: float, K: int, seed: int = 0,
+                     initial: InitialState = None, replica: int = 0) -> Trajectory:
     """Chain with unit-curvature step and temperature-scaled noise:
 
         theta_{k+1} = theta_k - (1/M) grad f(theta_k) + sqrt(2 tau / M) xi
@@ -413,13 +395,13 @@ def run_tempered_lmc(
     under the same seed.  tau = 0 collapses to gradient descent with
     step 1/M; the noise stream is then untouched.
     """
-    tau = float(tau)
-    if tau < 0.0 or not math.isfinite(tau):
-        raise ValueError(f"tau must be nonnegative and finite, got {tau}")
+    tau, replica = nonnegative("tau", tau), count("replica", replica)
     if initial is None:
         raise ValueError("an initial state is required")
     t0 = time.perf_counter()
     M = target.M
+    if tau and not (tau / M > 0.0 and 2.0 * tau / M < math.inf):
+        raise ValueError(f"tau={tau} is out of range: tau / M and 2 tau / M must be positive and finite")
     config = LmcConfig(h=tau / M if tau else 1.0 / M, K=K, seed=seed)
     if tau == 0.0:
         iterates = gradient_descent(target, config.h, config.K, initial)
@@ -458,9 +440,7 @@ def final_states(
     replica's own stream.  A replica whose state turns non-finite raises
     FloatingPointError.
     """
-    replicas = int(replicas)
-    if replicas < 1:
-        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    replicas = count("replicas", replicas, 1)
     _check_step_size(config.h, target)
     seed = config.seed
     out = np.empty((replicas, target.dim))

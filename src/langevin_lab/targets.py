@@ -22,6 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._scalars import count, curvature, positive
+
 __all__ = [
     "QuadraticSpec",
     "SumStructure",
@@ -123,9 +125,7 @@ class SumStructure:
     common_grad: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
-        if int(self.n_obs) < 1:
-            raise ValueError(f"n_obs must be at least 1, got {self.n_obs}")
-        object.__setattr__(self, "n_obs", int(self.n_obs))
+        object.__setattr__(self, "n_obs", count("n_obs", self.n_obs, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +149,11 @@ class TargetPotential:
     parts: Optional[SumStructure] = None
 
     def __post_init__(self) -> None:
-        if int(self.dim) < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        m, M = float(self.m), float(self.M)
-        if not (0.0 < m <= M) or not np.isfinite(M):
-            raise ValueError(f"curvature constants must satisfy 0 < m <= M < inf, got m={m}, M={M}")
+        object.__setattr__(self, "dim", count("dim", self.dim, 1))
+        m, M = curvature(self.m, self.M)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
-        if not (float(self.temperature) > 0.0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        object.__setattr__(self, "temperature", float(self.temperature))
+        object.__setattr__(self, "temperature", positive("temperature", self.temperature))
 
     @property
     def kappa(self) -> float:
@@ -221,9 +215,7 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"labels must be 0 or 1; y[{i}] = {y[i]}")
-    ridge = float(ridge)
-    if not 0.0 < ridge < math.inf:
-        raise ValueError(f"ridge must be positive (it supplies strong convexity) and finite, got {ridge}")
+    ridge = positive("ridge", ridge)  # it supplies the strong convexity m
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.T @ X
     if not np.isfinite(gram).all():
@@ -297,9 +289,9 @@ def temper(target: TargetPotential, tau: float) -> TargetPotential:
     Curvature constants scale the same way and quadratic structure is
     preserved (precision / tau).  Temperatures compose multiplicatively.
     """
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    tau = positive("tau", tau)
+    if not (target.m / tau > 0.0 and target.M / tau < math.inf):
+        raise ValueError(f"tau={tau} is out of range: m / tau and M / tau must be positive and finite")
     f, g = target.eval, target.grad
     meta = None
     if target.oracle_meta is not None:
@@ -383,6 +375,7 @@ def check_curvature(
     ValueError on the first violated pair.  This is a sanity probe, not
     a proof: it can only ever refute the declared constants.
     """
+    trials, seed = count("trials", trials, 1), count("seed", seed, below=2**64)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     xs = scale * rng.standard_normal((trials, target.dim))
     ys = scale * rng.standard_normal((trials, target.dim))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scalars import count
 from .bounds import LARGE_STEP, SMALL_STEP, init_w2_from_f, init_w2_from_mean, lmc_core, noisy_lmc_core
 # lmc_bound, noisy_lmc_bound, gaussian_w2 and stationary_moments are unused
 # here but stay module attributes: perfbench/tracing.py patches them by
@@ -77,7 +78,7 @@ def check_lmc_bound_validity(
     len(dims) * targets_per_dim * n_steps * len(checkpoints).
     """
     rng = _rng(seed, 1)
-    checkpoints = tuple(sorted(set(int(k) for k in checkpoints)))
+    checkpoints = tuple(sorted(set(count("checkpoint", k) for k in checkpoints)))
     cells = 0
     worst = -np.inf
     first_bad = ""
