@@ -43,10 +43,8 @@ def main() -> int:
 
     print(f"m={args.m}, M={args.M}, grid_size={args.grid_size}  ({elapsed:.2f}s)")
     print(f"{'eps':>6} {'p':>7} {'K_lmc':>10} {'K_baseline':>12} {'ratio':>7}")
-    ratios = []
-    for pt in points:
-        ratio = pt.k_baseline / pt.k_lmc
-        ratios.append(ratio)
+    ratios = [pt.ratio for pt in points]
+    for pt, ratio in zip(points, ratios):
         print(f"{pt.epsilon:>6.2f} {pt.p:>7d} {pt.k_lmc:>10d} {pt.k_baseline:>12d} {ratio:>7.3f}")
     print(f"ratio range: {min(ratios):.3f} .. {max(ratios):.3f}")
 

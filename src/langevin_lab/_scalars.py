@@ -1,4 +1,4 @@
-"""The rules every scalar argument of the public API is checked by.
+"""The rules every scalar and array argument of the public API is checked by.
 
 Each rule returns the value coerced or raises ValueError naming the
 argument.  Counts take integral floats such as 1e5; nothing is truncated.
@@ -6,6 +6,9 @@ argument.  Counts take integral floats such as 1e5; nothing is truncated.
 
 import math
 import operator
+import reprlib
+
+import numpy as np
 
 
 def _checked(name: str, value, ok=lambda x: True, requirement: str = "") -> float:
@@ -50,3 +53,32 @@ def curvature(m, M) -> tuple[float, float]:
     if not 0.0 < m <= M < math.inf:
         raise ValueError(f"curvature constants must satisfy 0 < m <= M < inf, got m={m}, M={M}")
     return m, M
+
+
+def array(name: str, value, shape: tuple, context: str = "", check_finite: bool = True) -> np.ndarray:
+    """value as a float array of the given shape whose entries are finite (if check_finite).
+
+    None in shape takes any length >= 1, and a single number counts as a one-entry
+    vector.  context ends the messages about the shape, e.g. " to match X".
+    """
+    try:
+        a = None if value is None else np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None:
+        kind = "numbers in a rectangular array" if shape else "a number"
+        raise ValueError(f"{name} must be {kind}, got {reprlib.repr(value)}")
+    if a.ndim == 0 and len(shape) == 1:
+        a = a.reshape(1)
+    if a.ndim != len(shape):
+        kind = f"a {len(shape)}-d array" if shape else "a number"
+        raise ValueError(f"{name} must be {kind}{context}, got shape {a.shape}")
+    if any(d is not None and n != d for n, d in zip(a.shape, shape)):
+        raise ValueError(f"{name} must have shape {shape}{context}, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"{name} must have at least one entry{context}, got none")
+    if check_finite and not np.isfinite(a).all():
+        at = np.unravel_index(int(np.argmax(~np.isfinite(a))), a.shape)
+        where = f"[{', '.join(map(str, at))}]" if at else ""
+        raise ValueError(f"{name}{where} must be finite, got {a[at]}")
+    return a

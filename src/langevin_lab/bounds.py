@@ -204,13 +204,25 @@ def lmc_core(m, M, h, K, p, w2_init, regime: str | None = None) -> tuple:
 
 
 def _noisy_terms(m, M, h, p, sigma, regime):
-    """(gamma, bias) of the noisy-gradient bound in one regime; inf bias where 2 - Mh <= 0."""
-    if regime == SMALL_STEP:
-        return 1.0 - m * h / 2.0, np.sqrt(2.0 * h * p / m) * np.sqrt(sigma * sigma + 3.3 * (M * M) / m)
-    rest = 2.0 - M * h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bias = np.sqrt(2.0 * (h * h) * p / rest) * np.sqrt(sigma * sigma + 6.6 * M / rest)
-    return M * h / 2.0, np.where(rest > 0.0, bias, np.inf)
+    """(gamma, bias) of the noisy-gradient bound in one regime; inf bias where 2 - Mh <= 0.
+
+    bias = sqrt(a) sqrt(sigma^2 + b) is taken from logs only where a, b or sigma^2
+    overflow, so every finite value keeps its bits.
+    """
+    small, rest = regime == SMALL_STEP, 2.0 - M * h
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if small:
+            gamma, a, b = 1.0 - m * h / 2.0, 2.0 * h * p / m, 3.3 * (M * M) / m
+        else:
+            gamma, a, b = M * h / 2.0, 2.0 * (h * h) * p / rest, 6.6 * M / rest
+        bias = np.sqrt(a) * np.sqrt(sigma * sigma + b)
+        if not np.isfinite(bias).all():
+            log_d = np.log(m if small else rest)
+            log_a = math.log(2.0) + np.log(1.0 * p) + (1.0 if small else 2.0) * np.log(h) - log_d
+            log_b = math.log(3.3 if small else 6.6) + (2.0 if small else 1.0) * np.log(M) - log_d
+            safe = np.exp(0.5 * (log_a + np.logaddexp(2.0 * np.log(sigma), log_b)))
+            bias = np.where(np.isfinite(bias), bias, safe)
+    return gamma, bias if small else np.where(rest > 0.0, bias, np.inf)
 
 
 def noisy_lmc_core(m, M, h, K, p, w2_init, sigma, regime: str | None = None) -> tuple:

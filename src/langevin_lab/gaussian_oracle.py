@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalars import count, positive
-from .targets import QuadraticSpec, _require_finite
+from ._scalars import array, count, positive
+from .targets import QuadraticSpec
 
 __all__ = [
     "GaussianMoments",
@@ -55,12 +55,8 @@ class GaussianMoments:
     _modes = None  # (eigenbasis, per-mode variances) on laws from _eigen_law
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov must have shape {(mean.size, mean.size)}, got {cov.shape}")
+        mean = array("mean", self.mean, (None,))
+        cov = array("cov", self.cov, (mean.size, mean.size), " to match mean")
         scale = max(float(np.abs(cov).max()), 1.0)
         asym = float(np.abs(cov - cov.T).max())
         if asym > _EIG_TOL * scale:
@@ -97,9 +93,7 @@ def _eigen_law(mean: np.ndarray, V: np.ndarray, var: np.ndarray) -> GaussianMome
 
 def point_mass(theta: np.ndarray) -> GaussianMoments:
     """Degenerate law concentrated at theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.ndim != 1:
-        raise ValueError(f"mean must be a vector, got shape {theta.shape}")
+    theta = array("theta", theta, (None,))
     return _trusted_law(theta, np.zeros((theta.size, theta.size)))
 
 
@@ -126,12 +120,7 @@ def _mode_factors(lam: np.ndarray, h, k):
         return (1.0 - h * lam) ** k, np.where(np.equal(k, 0), 0.0, var)
 
 
-def moments_after_k(
-    spec: QuadraticSpec,
-    init: GaussianMoments | np.ndarray,
-    h: float,
-    k: int,
-) -> GaussianMoments:
+def moments_after_k(spec: QuadraticSpec, init: GaussianMoments | np.ndarray, h: float, k: int) -> GaussianMoments:
     """Exact law of the chain after k steps from a Gaussian start.
 
     E = I - hA shares the eigenvectors of A = V diag(lam) V', so with
@@ -148,11 +137,9 @@ def moments_after_k(
     result stays in that basis with per-mode variances g^2k var_0 + var.
     """
     h, k = positive("step size h", h), count("step count k", k)
-    if not isinstance(init, GaussianMoments):
-        init = point_mass(init)
-    if init.dim != spec.dim:
-        raise ValueError(f"init has dimension {init.dim} but the target has dimension {spec.dim}")
-    _require_finite("init", init.mean)
+    is_law = isinstance(init, GaussianMoments)
+    mean = array("init", init.mean if is_law else init, (spec.dim,), " to match the target's dimension")
+    init = init if is_law else point_mass(mean)
     if k == 0:
         return init
     lam, V = spec.eigenbasis
@@ -216,14 +203,8 @@ def empirical_w2_1d(xs: np.ndarray, ys: np.ndarray) -> float:
     The optimal coupling in one dimension is monotone, so it suffices
     to sort both samples and average the squared gaps.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    _require_finite("xs", xs)
-    _require_finite("ys", ys)
-    if xs.size != ys.size:
-        raise ValueError(f"samples must have equal size, got {xs.size} and {ys.size}")
-    if xs.size == 0:
-        raise ValueError("samples must be nonempty")
+    xs = array("xs", xs, (None,), " (samples must be nonempty)")
+    ys = array("ys", ys, (xs.size,), " to match xs (samples must have equal size)")
     gap = np.sort(xs) - np.sort(ys)
     return math.sqrt(float(np.mean(gap * gap)))
 
@@ -234,10 +215,7 @@ def w2_init_exact(spec: QuadraticSpec, theta0: np.ndarray) -> float:
     Against a point mass the coupling is forced, giving
     W2^2 = ||theta0 - mean||^2 + tr(precision^{-1}).
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    if theta0.shape != spec.mean.shape:
-        raise ValueError(f"theta0 must have shape {spec.mean.shape}, got {theta0.shape}")
-    _require_finite("theta0", theta0)
+    theta0 = array("theta0", theta0, (spec.dim,), " to match the target's dimension")
     w = np.linalg.eigvalsh(spec.precision)
     if w[0] <= 0.0:
         raise ValueError(f"precision must be positive definite; smallest eigenvalue is {w[0]:.6e}")

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ._scalars import count, curvature, finite, nonnegative, positive
+from ._scalars import array, count, curvature, finite, nonnegative, positive
 from .bounds import BoundInputs, baseline_terms, baseline_value, init_w2_from_mean, lmc_bound
 from .bounds import lmc_terms_small_step, lmc_value_small_step
 from .parallel import parallel_map
@@ -132,7 +132,8 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     if math.isnan(h_bias):
         raise ValueError(f"m={m:g} and M={M:g} are too large to plan for: m^2 and M^2 overflow")
     if math.isinf(scale):
-        raise ValueError(f"M={M:g} is too large to plan for: 14 M^2 p overflows")
+        culprit = f"M={M:g}" if math.isinf(14.0 * M * M) else f"dimension p={p:g}"
+        raise ValueError(f"{culprit} is too large to plan for: 14 M^2 p overflows")
     if not math.isfinite(2.0 * w2_init / epsilon):
         raise ValueError(f"w2_init={w2_init:g} is too large to plan for: 2 w2_init / epsilon overflows")
     boundary = 2.0 / (m + M)
@@ -146,9 +147,9 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
         raise ValueError(f"{cause} leaves the contraction factor 1 - m h at 1 in floating point")
     log_ratio = math.log(2.0 * w2_init / epsilon) if 2.0 * w2_init > epsilon else 0.0
     K = 0
-    # the float 1 - m h can round up so far that -log(1 - m h) < m h; only where
-    # that leaves K short is it sized by the rate the bound actually uses
-    for rate in (m * h, -math.log(1.0 - m * h)):
+    # the float 1 - m h can round up so far that -log(1 - m h) < m h; only where that leaves K
+    # short is it sized by the rate the bound actually uses (at m h = 1 the first K certifies)
+    for rate in (m * h, -math.log(1.0 - m * h) if m * h < 1.0 else math.inf):
         K = max(K, math.ceil(log_ratio / rate))
         predicted = lmc_bound(BoundInputs(m=m, M=M, h=h, K=K, p=p, w2_init=w2_init)).value
         if predicted <= epsilon:
@@ -168,17 +169,11 @@ def _validate_grid(h_grid: Optional[np.ndarray], m: float, M: float) -> np.ndarr
     boundary = 2.0 / (m + M)
     if h_grid is None:
         return default_h_grid(m, M)
-    grid = np.asarray(h_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError(f"h_grid must be a nonempty 1-d array, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)) or not np.all(grid > 0.0):
-        raise ValueError("h_grid values must be positive and finite")
-    if float(grid.max()) > boundary:
-        raise ValueError(
-            f"h_grid values must lie in (0, 2/(m+M)] = (0, {boundary:.6g}], "
-            f"got max {grid.max():.6g}"
-        )
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+    grid = array("h_grid", h_grid, (None,))
+    if not (grid.min() > 0.0 and grid.max() <= boundary):
+        raise ValueError(f"h_grid values must be positive and at most 2/(m+M) = {boundary:.6g}, "
+                         f"got min {grid.min():.6g} and max {grid.max():.6g}")
+    if not np.all(np.diff(grid) > 0.0):
         raise ValueError("h_grid must be strictly increasing")
     return grid
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from ._scalars import count, nonnegative, positive
+from ._scalars import array, count, nonnegative, positive
 from .parallel import parallel_map
 from .targets import TargetPotential
 
@@ -209,18 +209,10 @@ def _check_step_size(h: float, target: TargetPotential) -> None:
         )
 
 
-def _resolve_initial(
-    initial: InitialState, target: TargetPotential, seed: int, replica: int
-) -> np.ndarray:
+def _resolve_initial(initial: InitialState, target: TargetPotential, seed: int, replica: int) -> np.ndarray:
     if callable(initial):
-        theta0 = np.asarray(initial(noise_stream(seed, replica, INIT_STREAM)), dtype=float)
-    else:
-        theta0 = np.asarray(initial, dtype=float)
-    theta0 = np.atleast_1d(theta0)
-    if theta0.shape != (target.dim,):
-        raise ValueError(
-            f"initial state has shape {theta0.shape} but the target has dimension {target.dim}"
-        )
+        initial = initial(noise_stream(seed, replica, INIT_STREAM))
+    theta0 = array("initial state", initial, (target.dim,), " to match the target's dimension", check_finite=False)
     if not np.isfinite(theta0).all():
         raise ValueError(f"initial state must be finite, got {theta0}")
     return theta0
@@ -396,8 +388,6 @@ def run_tempered_lmc(target: TargetPotential, tau: float, K: int, seed: int = 0,
     step 1/M; the noise stream is then untouched.
     """
     tau, replica = nonnegative("tau", tau), count("replica", replica)
-    if initial is None:
-        raise ValueError("an initial state is required")
     t0 = time.perf_counter()
     M = target.M
     if tau and not (tau / M > 0.0 and 2.0 * tau / M < math.inf):

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scalars import count, curvature, positive
+from ._scalars import array, count, curvature, nonnegative, positive
 
 __all__ = [
     "QuadraticSpec",
@@ -40,15 +40,6 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
-    """Raise ValueError naming the first non-finite entry of ``values``."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), values.shape)
-        where = ", ".join(str(int(i)) for i in idx)
-        raise ValueError(f"{name}[{where}] must be finite, got {float(values[idx])}")
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticSpec:
     """Quadratic potential f(x) = (1/2) (x - mean)' precision (x - mean).
@@ -64,21 +55,10 @@ class QuadraticSpec:
     precision: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float, ndmin=1)
-        prec = np.asarray(self.precision, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        if mean.size == 0:
-            raise ValueError("mean must have at least one entry, got none")
-        _require_finite("mean", mean)
-        if prec.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"precision must have shape {(mean.size, mean.size)} to match the "
-                f"{mean.size} entries of mean, got {prec.shape}"
-            )
-        _require_finite("precision", prec)
-        asym = float(np.abs(prec - prec.T).max()) if prec.size else 0.0
-        scale = max(float(np.abs(prec).max()), 1.0) if prec.size else 1.0
+        mean = array("mean", self.mean, (None,)).copy()
+        prec = array("precision", self.precision, (mean.size, mean.size), " to match mean")
+        asym = float(np.abs(prec - prec.T).max())
+        scale = max(float(np.abs(prec).max()), 1.0)
         if asym > _SYM_TOL * scale:
             raise ValueError(f"precision is not symmetric: max |A - A'| = {asym:.3e}")
         with np.errstate(over="ignore"):
@@ -203,14 +183,9 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     # import of the package and only logistic targets use it.
     from scipy.special import expit
 
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-d design matrix, got shape {X.shape}")
-    _require_finite("X", X)
+    X = array("X", X, (None, None))
     n, p = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"y must have shape ({n},) to match X, got {y.shape}")
+    y = array("y", y, (n,), " to match X")
     bad = (y != 0.0) & (y != 1.0)
     if bad.any():
         i = int(np.argmax(bad))
@@ -316,18 +291,6 @@ def temper(target: TargetPotential, tau: float) -> TargetPotential:
     )
 
 
-def _numbers(payload: dict, name: str, ndim: Optional[int] = None) -> np.ndarray:
-    """payload[name] as a float array; ValueError naming the field if it is not one."""
-    try:
-        values = np.asarray(payload[name], dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or (ndim is not None and values.ndim != ndim):
-        kind = "a number" if ndim == 0 else "numbers in a rectangular array"
-        raise ValueError(f"{name} must be {kind}, got {json.dumps(payload[name])[:60]}")
-    return values
-
-
 def target_from_dict(payload: dict) -> TargetPotential:
     """Build a target from a JSON-style dict.
 
@@ -339,18 +302,14 @@ def target_from_dict(payload: dict) -> TargetPotential:
     if not isinstance(payload, dict):
         raise ValueError(f"target description must be an object, got {type(payload).__name__}")
     kind = payload.get("type")
+    if kind not in ("quadratic", "logistic"):
+        raise ValueError(f"unknown target type: {kind!r} (expected 'quadratic' or 'logistic')")
+    fields = ("mean", "precision") if kind == "quadratic" else ("X", "y", "ridge")
+    if missing := [k for k in fields if k not in payload]:
+        raise ValueError(f"{kind} target is missing fields: {', '.join(missing)}")
     if kind == "quadratic":
-        missing = [k for k in ("mean", "precision") if k not in payload]
-        if missing:
-            raise ValueError(f"quadratic target is missing fields: {', '.join(missing)}")
-        return quadratic_target(_numbers(payload, "mean"), _numbers(payload, "precision"))
-    if kind == "logistic":
-        missing = [k for k in ("X", "y", "ridge") if k not in payload]
-        if missing:
-            raise ValueError(f"logistic target is missing fields: {', '.join(missing)}")
-        return logistic_target(_numbers(payload, "X"), _numbers(payload, "y"),
-                               float(_numbers(payload, "ridge", ndim=0)))
-    raise ValueError(f"unknown target type: {kind!r} (expected 'quadratic' or 'logistic')")
+        return quadratic_target(payload["mean"], payload["precision"])
+    return logistic_target(payload["X"], payload["y"], float(array("ridge", payload["ridge"], ())))
 
 
 def load_target(path: str | Path) -> TargetPotential:
@@ -360,6 +319,7 @@ def load_target(path: str | Path) -> TargetPotential:
     return target_from_dict(payload)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow at the probe points raises below
 def check_curvature(
     target: TargetPotential,
     trials: int = 1000,
@@ -376,6 +336,7 @@ def check_curvature(
     a proof: it can only ever refute the declared constants.
     """
     trials, seed = count("trials", trials, 1), count("seed", seed, below=2**64)
+    scale, rel_slack = positive("scale", scale), nonnegative("rel_slack", rel_slack)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     xs = scale * rng.standard_normal((trials, target.dim))
     ys = scale * rng.standard_normal((trials, target.dim))
@@ -387,6 +348,9 @@ def check_curvature(
     lower = fx + np.sum(gx * diff, axis=-1) + 0.5 * target.m * sq
     conv_slack = rel_slack * np.maximum(np.abs(fy), np.maximum(np.abs(lower), 1.0))
     conv_gap = fy - lower
+    gnorm = np.linalg.norm(gx - gy, axis=-1)
+    if not (np.isfinite(conv_gap).all() and np.isfinite(gnorm).all()):
+        raise ValueError(f"scale={scale} is too large for this target: f or grad f overflows at the probes")
     if (conv_gap < -conv_slack).any():
         i = int(np.argmin(conv_gap + conv_slack))
         raise ValueError(
@@ -394,7 +358,6 @@ def check_curvature(
             f"f(y) - lower bound = {conv_gap[i]:.6e}"
         )
 
-    gnorm = np.linalg.norm(gx - gy, axis=-1)
     lip_cap = target.M * np.sqrt(sq) * (1.0 + rel_slack) + rel_slack
     if (gnorm > lip_cap).any():
         i = int(np.argmax(gnorm - lip_cap))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalars import count
+from ._scalars import count, finite
 from .bounds import LARGE_STEP, SMALL_STEP, init_w2_from_f, init_w2_from_mean, lmc_core, noisy_lmc_core
 # lmc_bound, noisy_lmc_bound, gaussian_w2 and stationary_moments are unused
 # here but stay module attributes: perfbench/tracing.py patches them by
@@ -51,6 +51,7 @@ class CheckResult:
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
+    seed = count("seed", seed, below=2**64)
     return np.random.Generator(np.random.Philox(key=np.array([seed, salt], dtype=np.uint64)))
 
 
@@ -78,7 +79,10 @@ def check_lmc_bound_validity(
     len(dims) * targets_per_dim * n_steps * len(checkpoints).
     """
     rng = _rng(seed, 1)
+    dims = [count(f"dims[{i}]", p, 1) for i, p in enumerate(dims)]
+    targets_per_dim, n_steps = count("targets_per_dim", targets_per_dim), count("n_steps", n_steps, 1)
     checkpoints = tuple(sorted(set(count("checkpoint", k) for k in checkpoints)))
+    slack = finite("slack", slack)
     cells = 0
     worst = -np.inf
     first_bad = ""
@@ -109,6 +113,7 @@ def check_lmc_bound_validity(
 def check_regime_continuity(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
     """The two branches of the exact-gradient bound agree at h = 2/(m+M)."""
     rng = _rng(seed, 2)
+    trials, rtol = count("trials", trials), finite("rtol", rtol)
     m, M, w2 = np.empty((3, trials))
     K, p = np.empty((2, trials), dtype=np.int64)
     for t in range(trials):
@@ -138,6 +143,7 @@ def check_noise_dominance(seed: int = 0, trials: int = 1000) -> CheckResult:
     sit at or above the exact-gradient bound wherever both are stated.
     """
     rng = _rng(seed, 3)
+    trials = count("trials", trials)
     m, M, h, w2 = np.empty((4, trials))
     K, p = np.empty((2, trials), dtype=np.int64)
     for t in range(trials):
@@ -172,6 +178,7 @@ def check_stationary_gradient_norm(seed: int = 0, trials: int = 100, rtol: float
     sampling, and the cap p * (largest eigenvalue) must dominate it.
     """
     rng = _rng(seed, 4)
+    trials, rtol = count("trials", trials), finite("rtol", rtol)
     worst = -np.inf
     first_bad = ""
     for _ in range(trials):
@@ -194,6 +201,7 @@ def check_init_bound_ordering(seed: int = 0, trials: int = 100, rtol: float = 1e
     f (p/2 for quadratics), which must be tighter yet still valid.
     """
     rng = _rng(seed, 5)
+    trials, rtol = count("trials", trials), finite("rtol", rtol)
     worst = -np.inf
     first_bad = ""
     cells = 0

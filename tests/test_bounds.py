@@ -357,3 +357,26 @@ class TestCoreChecks:
             lmc_core(m, M, at, K, 2, 1.0)
         with pytest.raises(RuntimeError, match="disagree"):
             lmc_bound(BoundInputs(m=m, M=M, h=2.0 / (m + M), K=3, p=2, w2_init=1.0), regime=LARGE_STEP)
+
+
+# the noisy bias sqrt(a) sqrt(sigma^2 + b) read inf where a, b or sigma^2 overflowed but the bias does not
+@pytest.mark.parametrize("inputs, bias", [
+    (BoundInputs(m=5.0, M=5.0, h=0.1, K=10, p=3, w2_init=1.0, sigma=1e308), math.sqrt(0.12) * 1e308),
+    (BoundInputs(m=1.0, M=1e200, h=1e-201, K=10, p=3, w2_init=1.0), math.sqrt(6e-201) * math.sqrt(3.3) * 1e200),
+    (BoundInputs(m=1.0, M=5.0, h=0.39, K=10, p=3, w2_init=1.0, sigma=1e307),  # large step: 2 - Mh = 0.05
+     math.sqrt(2 * 0.39**2 * 3 / 0.05) * 1e307),
+])
+def test_noisy_bias_is_finite_where_only_its_parts_overflow(inputs, bias):
+    got = noisy_lmc_bound(inputs)
+    assert got.bias_term == pytest.approx(bias, rel=1e-12)
+    assert got.value == got.contraction_term + got.bias_term
+    hs = np.array([inputs.h / 4, inputs.h / 2, inputs.h])
+    grid = noisy_lmc_core(inputs.m, inputs.M, hs, inputs.K, inputs.p, inputs.w2_init, inputs.sigma)[3]
+    for h, b in zip(hs, grid):  # scalar and grid values still agree to the last bit
+        assert noisy_lmc_bound(BoundInputs(**{**vars(inputs), "h": float(h)})).bias_term == b
+
+
+def test_noisy_bias_overflows_only_where_its_true_value_does():
+    # M/m beyond the float range: the true bias, about 4e323, is not a double either
+    got = noisy_lmc_bound(BoundInputs(m=5e-324, M=2.0, h=0.1, K=10, p=3, w2_init=1.0))
+    assert math.isinf(got.bias_term)

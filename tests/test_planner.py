@@ -315,3 +315,15 @@ def test_plan_certifies_where_one_minus_mh_rounds_up(m, M, p, w2, lo, hi):
     for eps in np.geomspace(lo, hi, 400):
         plan = plan_for_epsilon(m, M, p, w2, float(eps))
         assert plan.predicted_bound <= eps
+
+
+def test_plan_names_the_dimension_when_it_makes_14_m2_p_overflow():
+    with pytest.raises(ValueError, match=r"dimension p=1e\+308 is too large to plan for: 14 M\^2 p overflows"):
+        plan_for_epsilon(1.0, 2.0, 1e308, 1.0, 0.5)
+
+
+def test_plan_at_the_boundary_step_with_m_equal_to_M():
+    # h = 2/(m+M) = 1/m makes the contraction factor 1 - m h exactly 0
+    for w2, K in ((0.0, 0), (3.0, 1)):
+        plan = plan_for_epsilon(1.0, 1.0, 1, w2, 4.0)
+        assert (plan.h, plan.K, plan.binding) == (1.0, K, "boundary") and plan.predicted_bound <= 4.0

@@ -36,12 +36,33 @@ from langevin_lab import (
     temper,
 )
 from langevin_lab.cli import main
+from langevin_lab.validation import (
+    check_init_bound_ordering,
+    check_lmc_bound_validity,
+    check_noise_dominance,
+    check_regime_continuity,
+    check_stationary_gradient_norm,
+    run_all_checks,
+)
 
 QUAD = quadratic_target(np.zeros(2), np.diag([1.0, 2.0]))
 X = np.array([[0.5, -1.0], [1.0, 0.2], [-0.3, 0.8]])
 Y = np.array([0.0, 1.0, 1.0])
 PARTS = dict(obs_grad=lambda theta, idx: np.zeros((len(idx), 2)), common_grad=lambda theta: theta)
 CALLS = dict(eval=lambda x: np.zeros(np.shape(x)[:-1]), grad=lambda x: np.asarray(x, dtype=float))
+
+
+def sweep(check):
+    """check, with the worst margin of an empty sweep (-inf, the max over no cells) left out."""
+    def run(**kwargs):
+        result = check(**kwargs)
+        return result if result.cells else dataclasses.replace(result, worst=None)
+    return run
+
+
+def lmc_validity(dims_entry, **kwargs):
+    return check_lmc_bound_validity(dims=(1, dims_entry), **kwargs)
+
 
 # entry point, valid keyword arguments, and each scalar argument to fuzz
 # with the word an error about it must contain
@@ -77,12 +98,24 @@ ENTRIES = {
     "SumStructure": (SumStructure, dict(n_obs=4, **PARTS), dict(n_obs="n_obs")),
     "temper": (temper, dict(target=QUAD, tau=2.0), dict(tau="tau")),
     "logistic_target": (logistic_target, dict(X=X, y=Y, ridge=0.5), dict(ridge="ridge")),
-    "check_curvature": (check_curvature, dict(target=QUAD, trials=20, seed=4), dict(trials="trials", seed="seed")),
+    "check_curvature": (check_curvature, dict(target=QUAD, trials=20, seed=4, scale=1.5, rel_slack=1e-9),
+                        dict(trials="trials", seed="seed", scale="scale", rel_slack="rel_slack")),
+    "check_lmc_bound_validity": (sweep(lmc_validity), dict(dims_entry=2, targets_per_dim=1, n_steps=3, slack=1e-10,
+                                                          checkpoints=(1, 10), seed=2),
+                                 dict(dims_entry="dims", targets_per_dim="targets_per_dim", n_steps="n_steps",
+                                      slack="slack", seed="seed")),
+    "check_regime_continuity": (sweep(check_regime_continuity), dict(seed=1, trials=5, rtol=1e-12),
+                                dict(seed="seed", trials="trials", rtol="rtol")),
+    "check_noise_dominance": (sweep(check_noise_dominance), dict(seed=1, trials=5), dict(seed="seed", trials="trials")),
+    "check_stationary_gradient_norm": (sweep(check_stationary_gradient_norm), dict(seed=1, trials=3, rtol=1e-12),
+                                       dict(seed="seed", trials="trials", rtol="rtol")),
+    "check_init_bound_ordering": (sweep(check_init_bound_ordering), dict(seed=1, trials=3, rtol=1e-12),
+                                  dict(seed="seed", trials="trials", rtol="rtol")),
 }
 COUNTS = {"K", "p", "seed", "replica", "replicas", "batch", "channel", "k_cap", "size", "k", "dim", "n_obs",
-          "trials"}
+          "trials", "dims_entry", "targets_per_dim", "n_steps"}
 # valid values whose run would take too long or too much memory
-TOO_BIG = {"K", "replicas", "trials", "size", "k_cap"}
+TOO_BIG = {"K", "replicas", "trials", "size", "k_cap", "dims_entry", "targets_per_dim", "n_steps"}
 
 HUGE = [1e308, 1e5, 2**63]
 BAD = HUGE + [math.nan, math.inf, -math.inf, -1e308, 5e-324, 0, 0.0, -0.0, -1, 1, 2.5, 2.7, 3.0, 10**400,
@@ -153,6 +186,8 @@ def test_scalar_arguments_return_finite_values_or_name_the_argument(case):
     (lambda: noise_stream(0, 1.5, 0), "replica must be an integer >= 0, got 1.5"),
     (lambda: check_curvature(QUAD, trials=0), "trials must be an integer >= 1, got 0"),
     (lambda: minimal_k_lmc(1.0, 2.0, 2, 1.0, 0.5, k_cap=2.5), "k_cap must be an integer >= 0, got 2.5"),
+    (lambda: run_all_checks(seed=2.5), "seed must be an integer in [0, 18446744073709551616), got 2.5"),
+    (lambda: check_regime_continuity(rtol=math.nan), "rtol must be finite, got nan"),
 ])
 def test_inputs_that_were_mishandled_now_raise_naming_the_argument(call, message):
     with pytest.raises(ValueError) as exc:
