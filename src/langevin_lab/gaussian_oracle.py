@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalars import array, count, positive
-from .targets import QuadraticSpec
+from .targets import QuadraticSpec, symmetrized
 
 __all__ = [
     "GaussianMoments",
@@ -61,13 +61,12 @@ class GaussianMoments:
         asym = float(np.abs(cov - cov.T).max())
         if asym > _EIG_TOL * scale:
             raise ValueError(f"cov is not symmetric: max |S - S'| = {asym:.3e}")
-        cov = (cov + cov.T) / 2.0
+        cov = symmetrized(cov)
         w, V = np.linalg.eigh(cov)
         if w[0] < -_EIG_TOL * scale:
             raise ValueError(f"cov is not positive semidefinite: smallest eigenvalue {w[0]:.3e}")
         if w[0] < 0.0:
-            cov = (V * np.clip(w, 0.0, None)) @ V.T
-            cov = (cov + cov.T) / 2.0
+            cov = symmetrized((V * np.clip(w, 0.0, None)) @ V.T)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -87,8 +86,7 @@ def _trusted_law(mean: np.ndarray, cov: np.ndarray, modes=None) -> GaussianMomen
 
 def _eigen_law(mean: np.ndarray, V: np.ndarray, var: np.ndarray) -> GaussianMoments:
     """N(mean, V diag(var) V') for a spec's cached eigenbasis V and var >= 0."""
-    cov = (V * var) @ V.T
-    return _trusted_law(mean, (cov + cov.T) / 2.0, (V, var))
+    return _trusted_law(mean, symmetrized((V * var) @ V.T), (V, var))
 
 
 def point_mass(theta: np.ndarray) -> GaussianMoments:
@@ -132,9 +130,11 @@ def moments_after_k(spec: QuadraticSpec, init: GaussianMoments | np.ndarray, h: 
 
     A deterministic start may be passed as a plain vector.  h > 0 and a
     finite start mean are required; transient step sizes (h lam > 2) are
-    allowed until the law overflows, which raises ValueError.  From a
-    point start, or a start law already in the target's eigenbasis, the
-    result stays in that basis with per-mode variances g^2k var_0 + var.
+    allowed until the law overflows, which raises ValueError.  Where
+    mean_k overflows in that form it is taken from halves,
+    2 (mu/2 + V (g^k * V'(mean_0/2 - mu/2))).  From a point start, or a
+    start law already in the target's eigenbasis, the result stays in
+    that basis with per-mode variances g^2k var_0 + var.
     """
     h, k = positive("step size h", h), count("step count k", k)
     is_law = isinstance(init, GaussianMoments)
@@ -146,13 +146,19 @@ def moments_after_k(spec: QuadraticSpec, init: GaussianMoments | np.ndarray, h: 
     gk, var = _mode_factors(lam, h, k)
     if not (np.isfinite(gk).all() and np.isfinite(var).all()):
         raise ValueError(f"step size h={h!r} gives a non-finite law after k={k} steps")
-    mean = spec.mean + V @ (gk * (V.T @ (init.mean - spec.mean)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = spec.mean + V @ (gk * (V.T @ (init.mean - spec.mean)))
+        if not np.isfinite(mean).all():  # a start or target near the float limit: halve before subtracting
+            mean = 2.0 * (spec.mean / 2.0 + V @ (gk * (V.T @ (init.mean / 2.0 - spec.mean / 2.0))))
+    if not np.isfinite(mean).all():
+        cause = f"step size h={h!r} and init give" if np.abs(gk).max() > 1.0 else "init gives"
+        raise ValueError(f"{cause} a mean that overflows after k={k} steps")
     if init._modes is not None and init._modes[0] is V:
         return _eigen_law(mean, V, gk * gk * init._modes[1] + var)
     if not init.cov.any():
         return _eigen_law(mean, V, var)
     cov = V @ (gk[:, None] * (V.T @ init.cov @ V) * gk + np.diag(var)) @ V.T
-    return GaussianMoments(mean, (cov + cov.T) / 2.0)
+    return GaussianMoments(mean, symmetrized(cov))
 
 
 def _point_start_w2(spec: QuadraticSpec, theta0: np.ndarray, hs: np.ndarray, ks) -> np.ndarray:
@@ -169,7 +175,7 @@ def _point_start_w2(spec: QuadraticSpec, theta0: np.ndarray, hs: np.ndarray, ks)
 
 
 def _psd_sqrt(S: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    w, V = np.linalg.eigh(symmetrized(S))
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 

@@ -40,6 +40,13 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 
+def symmetrized(S: np.ndarray) -> np.ndarray:
+    """(S + S') / 2, halving before adding in the entries where the sum overflows."""
+    with np.errstate(over="ignore"):
+        sym = (S + S.T) / 2.0
+    return sym if np.isfinite(sym).all() else np.where(np.isfinite(sym), sym, S / 2.0 + S.T / 2.0)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticSpec:
     """Quadratic potential f(x) = (1/2) (x - mean)' precision (x - mean).
@@ -61,11 +68,7 @@ class QuadraticSpec:
         scale = max(float(np.abs(prec).max()), 1.0)
         if asym > _SYM_TOL * scale:
             raise ValueError(f"precision is not symmetric: max |A - A'| = {asym:.3e}")
-        with np.errstate(over="ignore"):
-            sym = (prec + prec.T) / 2.0
-        if not np.isfinite(sym).all():  # entries near the float limit: halve before adding
-            sym = prec / 2.0 + prec.T / 2.0
-        prec = sym
+        prec = symmetrized(prec)
         mean.flags.writeable = False
         prec.flags.writeable = False
         object.__setattr__(self, "mean", mean)

@@ -99,7 +99,9 @@ def check_lmc_bound_validity(
             cells += margin.size
             worst = float(np.fmax.reduce(margin, axis=None, initial=worst))
             # a non-finite margin fails too: such a cell shows no domination
-            bad = ~np.isfinite(margin) | (margin > slack + slack * np.abs(bound))
+            with np.errstate(over="ignore"):  # a slack near the float limit saturates to +-inf
+                tolerance = slack + slack * np.abs(bound)
+            bad = ~np.isfinite(margin) | (margin > tolerance)
             if bad.any() and not first_bad:
                 r, c = np.argwhere(bad)[0]  # checkpoint-major, as the cells are counted
                 verdict = f"by {margin[r, c]:.3e}" if np.isfinite(margin[r, c]) else "(margin not finite)"

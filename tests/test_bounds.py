@@ -380,3 +380,47 @@ def test_noisy_bias_overflows_only_where_its_true_value_does():
     # M/m beyond the float range: the true bias, about 4e323, is not a double either
     got = noisy_lmc_bound(BoundInputs(m=5e-324, M=2.0, h=0.1, K=10, p=3, w2_init=1.0))
     assert math.isinf(got.bias_term)
+
+
+_RATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308]),  # zeros, one, least subnormal and normal
+    st.floats(0.0, 1.0),
+    st.integers(0, 63).map(lambda i: float(1.0 - np.geomspace(1e-17, 1.0, 64)[i])),
+)
+_COUNTS = st.one_of(st.integers(0, 3), st.integers(0, 10**12))
+
+
+def _numpy_power(rate, K):
+    with np.errstate(under="ignore"):
+        return np.where(np.equal(K, 2), rate * rate, np.power(rate, K))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rates=st.lists(_RATES, min_size=1, max_size=24),
+    ks=st.lists(_COUNTS, min_size=1, max_size=8),
+    cut=st.lists(st.tuples(st.integers(1, 10**12), st.floats(-1110.0, -1090.0)), min_size=1, max_size=24),
+)
+def test_power_is_numpy_power_bit_for_bit(rates, ks, cut):
+    """_power only skips pow where the result is +0.0, in every layout the bound cores use."""
+    def assert_same(rate, K):
+        got, want = np.asarray(bounds._power(rate, K)), np.asarray(_numpy_power(rate, K))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (rate, K)
+
+    # rates whose K * log2(rate) lies around the -1100 cut
+    cut_k = np.array([k for k, _ in cut], dtype=float)
+    cut_rates = np.exp2(np.array([t for _, t in cut]) / cut_k)
+    cut_rates[0] = np.nextafter(np.exp2(-1100.0 / cut_k[0]), 0.0)  # the largest rate cut at that K
+    assert_same(cut_rates, cut_k)
+    rates = np.array(rates + cut_rates.tolist())
+    every_k = np.resize(np.array(ks + cut_k.tolist()), rates.size)
+    for rate, k in zip(rates, every_k):
+        assert_same(float(rate), int(k))
+    assert_same(rates, every_k)
+    assert_same(rates, every_k.astype(np.int64))
+    for k in ks:
+        assert_same(rates, np.array([[k], [k + 1], [k + 2]], dtype=float))
+        assert_same(rates, np.array([[k], [k + 1], [k + 2]], dtype=np.int64))
+    for k in cut_k:
+        assert_same(rates, np.array([[k - 1.0], [k], [k + 1.0]]))

@@ -320,3 +320,31 @@ def test_non_finite_input_raises_naming_the_argument(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert message in str(exc.value)
+
+
+def test_mean_of_a_start_near_the_float_limit_is_taken_from_halves():
+    # init - mu overflows although the k-step mean, mu + g^k (init - mu), is finite
+    spec = QuadraticSpec(np.array([1e308]), np.array([[1.0]]))
+    with np.errstate(all="raise"):
+        law = moments_after_k(spec, np.array([-1e308]), 0.1, 3)
+    assert law.mean[0] == pytest.approx(-4.58e307, rel=1e-12)
+    # with the transient g = -2 the true mean overflows too, and the step size is named with init
+    with pytest.raises(ValueError, match=r"step size h=3.0 and init give a mean that overflows after k=3 steps"):
+        moments_after_k(QuadraticSpec(np.array([1.7e308]), np.array([[1.0]])), np.array([-1.7e308]), 3.0, 3)
+    # a stable step (|g| <= 1 in both modes) that keeps the mode along (1, 1): init alone is named
+    a, b = 0.5 + 5e-11, -0.5 + 5e-11
+    spec = QuadraticSpec(np.array([1.7e308, -1.7e308]), np.array([[a, b], [b, a]]))
+    with pytest.raises(ValueError, match=r"^init gives a mean that overflows after k=1 steps"):
+        moments_after_k(spec, np.array([1.7e308, 1.7e308]), 1.0, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_near_the_float_limit_is_symmetrized_without_overflow():
+    assert np.array_equal(GaussianMoments([0.0], [[1.7e308]]).cov, [[1.7e308]])
+    cov = np.array([[1.7e308, 1e-300], [1e-300, 1e308]])
+    assert np.array_equal(GaussianMoments([0.0, 0.0], cov).cov, cov)
+    # only the overflowing entry is halved first; 5e-324 / 2 would round to 0
+    cov = np.array([[1.7e308, 5e-324], [5e-324, 1.0]])
+    assert np.array_equal(GaussianMoments([0.0, 0.0], cov).cov, cov)
+    spec = QuadraticSpec(np.zeros(1), np.array([[1e-308]]))
+    assert stationary_moments(spec).cov[0, 0] == pytest.approx(1e308, rel=1e-12)

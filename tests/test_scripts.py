@@ -13,6 +13,7 @@ RUNS = {
     "iteration_ratio_table.py": ["--dims", "1,10", "--eps", "5,0.3", "--grid-size", "1000"],
     "bound_vs_exact_error.py": ["--p", "1", "--replicas", "200", "--checkpoints", "1,5"],
     "noise_floor_sweep.py": ["--K", "20", "--replicas", "500", "--sigmas", "0,1"],
+    "power_crosscheck.py": ["--n", "40000", "--seed", "0"],
 }
 
 
@@ -29,3 +30,4 @@ def test_experiment_scripts_exit_zero():
         outputs[name], err = proc.communicate(timeout=120)
         assert proc.returncode == 0, (name, err)
     assert "ratio range: 1.000 .. inf" in outputs["iteration_ratio_table.py"]
+    assert "identical to np.power" in outputs["power_crosscheck.py"]

@@ -197,3 +197,9 @@ def test_validity_sweep_counts_a_non_finite_cell_as_a_failure(monkeypatch):
     got = check_lmc_bound_validity(0, (1,), 1, 3, (0, 1))
     assert not got.passed
     assert "K=0" in got.detail and "margin not finite" in got.detail
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validity_sweep_takes_a_slack_near_the_float_limit_quietly():
+    assert check_lmc_bound_validity(0, (1, 2), 1, 5, (1, 10), slack=1e308).passed
+    assert not check_lmc_bound_validity(0, (1, 2), 1, 5, (1, 10), slack=-1e308).passed
