@@ -154,7 +154,11 @@ def moments_after_k(spec: QuadraticSpec, init: GaussianMoments | np.ndarray, h: 
         cause = f"step size h={h!r} and init give" if np.abs(gk).max() > 1.0 else "init gives"
         raise ValueError(f"{cause} a mean that overflows after k={k} steps")
     if init._modes is not None and init._modes[0] is V:
-        return _eigen_law(mean, V, gk * gk * init._modes[1] + var)
+        with np.errstate(over="ignore"):
+            var = gk * gk * init._modes[1] + var
+        if not np.isfinite(var).all():
+            raise ValueError(f"step size h={h!r} and init give a covariance that overflows after k={k} steps")
+        return _eigen_law(mean, V, var)
     if not init.cov.any():
         return _eigen_law(mean, V, var)
     cov = V @ (gk[:, None] * (V.T @ init.cov @ V) * gk + np.diag(var)) @ V.T

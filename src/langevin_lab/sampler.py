@@ -324,9 +324,9 @@ def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas
         rngs = [noise_stream(config.seed, r, ZETA_STREAM) for r in replicas]
         grads = lambda x: [oracle_gradient(target, oracle, y, g) for y, g in zip(np.atleast_2d(x), rngs)]
         drift = lambda x, z: np.reshape(grads(x), x.shape)
-    else:  # zeta_k is None for the exact oracle
+    else:  # zeta_k is None for the exact oracle and at sigma 0
         drift = lambda x, z: target.grad(x) if z is None else target.grad(x) + oracle.sigma * z
-    law = oracle.noise if oracle.mode == "gaussian" else None
+    law = oracle.noise if oracle.mode == "gaussian" and oracle.sigma != 0.0 else None
     return _advance(theta, config.K, h, drift, math.sqrt(2.0 * h), config.seed, replicas, law)
 
 
@@ -359,8 +359,8 @@ def run_nlmc(
     """Run one noisy-gradient chain (additive-noise or subsampled oracle).
 
     With mode "gaussian" and sigma = 0 the iterates coincide with
-    run_lmc under the same seed, because the drive noise lives on its
-    own channel.
+    run_lmc under the same seed: no oracle noise is drawn, and the drive
+    noise lives on its own channel.
     """
     if config.oracle.mode == "exact":
         raise ValueError("run_nlmc needs a noisy oracle; use run_lmc for the exact gradient")

@@ -170,6 +170,12 @@ def quadratic_target(mean: np.ndarray, precision: np.ndarray) -> TargetPotential
     return TargetPotential(dim=spec.dim, m=lo, M=hi, eval=_eval, grad=_grad, oracle_meta=spec)
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)), scipy.special.expit's formula: 0.0 where exp(-z) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotential:
     """Ridge-penalized logistic regression potential.
 
@@ -182,10 +188,6 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     per-observation gradients cover the data term and the ridge part is
     treated as the exactly-computed common term.
     """
-    # scipy is imported here, not at module level: it is the slowest
-    # import of the package and only logistic targets use it.
-    from scipy.special import expit
-
     X = array("X", X, (None, None))
     n, p = X.shape
     y = array("y", y, (n,), " to match X")
@@ -213,12 +215,12 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     def _grad(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         z = theta @ X.T
-        return (expit(z) - y) @ X + ridge * theta
+        return (_expit(z) - y) @ X + ridge * theta
 
     def _obs_grad(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         Xs = X[idx]
         z = Xs @ np.asarray(theta, dtype=float)
-        return (expit(z) - y[idx])[:, None] * Xs
+        return (_expit(z) - y[idx])[:, None] * Xs
 
     def _common_grad(theta: np.ndarray) -> np.ndarray:
         return ridge * np.asarray(theta, dtype=float)

@@ -1,12 +1,12 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from langevin_lab import __version__
 from langevin_lab.cli import main
 from langevin_lab.sampler import GradientOracle, LmcConfig, final_states, run_lmc
@@ -383,7 +383,7 @@ def test_manifest_parameters_record_every_parsed_flag(quad_target_file, tmp_path
 def test_module_entry_point_reports_version():
     proc = subprocess.run(
         [sys.executable, "-m", "langevin_lab", "--version"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"langevin-lab {__version__}"
@@ -418,7 +418,7 @@ class TestChainHealth:
             [sys.executable, "-m", "langevin_lab", "sample", "--target", str(target), "--h", "0.5",
              "--K", "2000", "--replicas", replicas, "--out", str(tmp_path / "chain.csv")],
             capture_output=True, text=True, timeout=60,
-            env={**os.environ, "LANGEVIN_LAB_THREADS": "2"},
+            env=subprocess_env(LANGEVIN_LAB_THREADS="2"),
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()

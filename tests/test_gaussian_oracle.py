@@ -339,6 +339,16 @@ def test_mean_of_a_start_near_the_float_limit_is_taken_from_halves():
 
 
 @pytest.mark.filterwarnings("error")
+def test_covariance_that_overflows_from_a_law_in_the_eigenbasis_raises():
+    # g = 1 - 2.5 = -1.5: one call leaves the variance near 4.9e176, a second overflows it
+    spec = QuadraticSpec(np.array([0.0]), np.array([[1.0]]))
+    law = moments_after_k(spec, np.array([0.0]), 2.5, 500)
+    assert law.cov[0, 0] == pytest.approx(4.9e176, rel=0.01)
+    with pytest.raises(ValueError, match=r"^step size h=2.5 and init give a covariance that overflows after k=500 steps"):
+        moments_after_k(spec, law, 2.5, 500)
+
+
+@pytest.mark.filterwarnings("error")
 def test_covariance_near_the_float_limit_is_symmetrized_without_overflow():
     assert np.array_equal(GaussianMoments([0.0], [[1.7e308]]).cov, [[1.7e308]])
     cov = np.array([[1.7e308, 1e-300], [1e-300, 1e308]])

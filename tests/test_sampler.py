@@ -251,6 +251,20 @@ class TestNoisyOracle:
         b = run_nlmc(gauss2, cfg_noisy, np.zeros(2)).iterates
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sigma_zero_replicas_match_exact_and_draw_no_zeta(self, monkeypatch, threads):
+        target = quadratic_target(np.array([0.5]), np.array([[2.0]]))
+        cfg = LmcConfig(h=0.1, K=4096, seed=5)
+        assert sampler_mod._chunk_rows(cfg.K, 1) < 300  # 600 replicas run in several chunks
+        monkeypatch.setenv("LANGEVIN_LAB_THREADS", threads)
+        exact = final_states(target, cfg, np.zeros(1), replicas=600)
+        channels = []
+        keys = sampler_mod._stream_keys
+        monkeypatch.setattr(sampler_mod, "_stream_keys", lambda s, r, c: channels.append(c) or keys(s, r, c))
+        noisy = LmcConfig(h=0.1, K=4096, seed=5, oracle=GradientOracle(mode="gaussian", sigma=0.0))
+        assert np.array_equal(final_states(target, noisy, np.zeros(1), replicas=600), exact)
+        assert channels and ZETA_STREAM not in channels
+
     def test_positive_sigma_changes_the_path(self, gauss2):
         a = run_lmc(gauss2, small_config(), np.zeros(2)).iterates
         cfg = small_config(oracle=GradientOracle(mode="gaussian", sigma=0.8))

@@ -1,16 +1,18 @@
 import json
+import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-import langevin_lab
-from conftest import make_spd, philox
+from conftest import make_spd, philox, subprocess_env
 from langevin_lab.targets import (
     QuadraticSpec,
+    _expit,
     check_curvature,
     custom_target,
     load_target,
@@ -277,19 +279,54 @@ def test_quadratic_curvature_inequalities_hold(seed, p, scale):
     assert lip <= t.M * float(np.linalg.norm(dx)) * (1.0 + 1e-9) + 1e-12
 
 
-def test_scipy_is_imported_only_for_logistic_targets(tmp_path):
+_SAMPLE_RUNS = """
+import sys
+import langevin_lab.cli as cli
+from langevin_lab.targets import load_target
+
+quad, logit, out = sys.argv[1:]
+load_target(quad), load_target(logit)
+for argv in ([quad], [quad, "--replicas", "3"], [quad, "--oracle", "gaussian", "--sigma", "0.5"],
+             [logit], [logit, "--replicas", "3"], [logit, "--oracle", "subsampled", "--batch", "2"],
+             [logit, "--oracle", "subsampled", "--batch", "2", "--replicas", "3"]):
+    assert cli.main(["sample", "--target", argv[0], "--h", "0.1", "--K", "20", "--out", out, *argv[1:]]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_runtime_path_imports_scipy(tmp_path):
     quad, logit = tmp_path / "quad.json", tmp_path / "logit.json"
     quad.write_text(json.dumps({"type": "quadratic", "mean": [0.0, 1.0], "precision": [[2.0, 0.0], [0.0, 3.0]]}))
-    logit.write_text(json.dumps({"type": "logistic", "X": [[1.0, 0.0], [0.0, 1.0]], "y": [0, 1], "ridge": 0.5}))
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import langevin_lab.cli; "
-        "from langevin_lab.targets import load_target; load_target(sys.argv[2]); "
-        "print('scipy' in sys.modules); load_target(sys.argv[3]); print('scipy' in sys.modules)"
-    )
-    src = str(Path(langevin_lab.__file__).resolve().parents[1])
+    logit.write_text(json.dumps({"type": "logistic", "X": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]],
+                                 "y": [0, 1, 1, 0], "ridge": 0.5}))
     proc = subprocess.run(
-        [sys.executable, "-c", code, src, str(quad), str(logit)],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", _SAMPLE_RUNS, str(quad), str(logit), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=60, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the whole line, the band where exp(-z) overflows, subnormals and the specials
+_EXPIT_VALUES = st.one_of(
+    st.floats(),
+    st.floats(-800.0, 800.0),
+    st.floats(-745.2, -709.79),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -709.79, -745.2]),
+)
+_EXPIT_SHAPES = st.one_of(st.just(()), hnp.array_shapes(min_dims=1, max_dims=2, max_side=40))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(z=hnp.arrays(np.float64, _EXPIT_SHAPES, elements=_EXPIT_VALUES))
+def test_expit_is_within_4_ulps_of_scipy(z):
+    got, want = np.asarray(_expit(z)), np.asarray(scipy.special.expit(z))
+    assert got.shape == z.shape and got.dtype == np.float64
+    for special in (0.0, 1.0):
+        assert np.array_equal(got == special, want == special)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    # both lie in [0, 1], where the bit patterns order like the doubles
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert (ulps[~np.isnan(want)] <= 4).all(), z[ulps > 4]
