@@ -37,7 +37,8 @@ from .planner import (
     figure1_curves,
     plan_for_epsilon,
 )
-from .sampler import GradientOracle, LmcConfig, final_states, write_trajectory, _write_theta_csv
+from ._scalars import count, finite, nonnegative, positive
+from .sampler import GradientOracle, LmcConfig, final_states, write_trajectory, _replacing, _write_theta_csv
 # run_lmc, run_nlmc and trajectory_to_csv are unused here but stay module
 # attributes: perfbench/tracing.py patches them by name, so without them
 # every `--trace 1` benchmark run stops with AttributeError.  They can go
@@ -51,37 +52,33 @@ class UsageError(Exception):
     """Flag combination or value that cannot be acted on."""
 
 
-def _number(cast, ok, requirement: str):
-    """Flag converter: cast the text, then require ok(value)."""
-    kind = "a number" if cast is float else "an integer"
+def _flag(rule, *bounds):
+    """Flag type applying the _scalars rule with these bounds; argparse names the flag.
+
+    A count reads its text with int() first, so "1e308" is no count and a
+    seed near 2**64 stays exact.
+    """
 
     def convert(text: str):
         try:
-            value = cast(text)
+            value = int(text) if rule is count else text
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
-        return value
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        try:
+            return rule("", value, *bounds)
+        except ValueError as exc:  # "<name> must be ..., got ..." with an empty name
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
 
     return convert
 
 
 def _list_of(convert):
-    """Comma-separated flag converter applying a _number converter to each part."""
+    """Comma-separated flag type applying convert to each part."""
 
     def convert_list(text: str) -> list:
         return [convert(part) for part in text.split(",") if part != ""]
 
     return convert_list
-
-
-_finite_float = _number(float, math.isfinite, "must be finite")
-_positive_float = _number(float, lambda v: v > 0.0 and math.isfinite(v), "must be positive")
-_nonnegative_float = _number(float, lambda v: v >= 0.0 and math.isfinite(v), "must be nonnegative")
-_positive_int = _number(int, lambda v: v >= 1, "must be at least 1")
-_nonnegative_int = _number(int, lambda v: v >= 0, "must be nonnegative")
-_seed64 = _number(int, lambda v: 0 <= v < 2**64, "must be in [0, 2**64)")
 
 
 def _sha256(path: Path) -> str:
@@ -106,13 +103,14 @@ def _write_manifest(anchor: Path, args: argparse.Namespace, outputs: list[Path],
             {"path": out.name, "sha256": _sha256(out)} for out in outputs
         ],
     }
-    path = anchor.with_name(anchor.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return _write_json(anchor.with_name(anchor.name + ".manifest.json"), manifest)
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    """Write payload to path as indented JSON (see _replacing) and return path."""
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return path
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _emit_json(args: argparse.Namespace, payload: dict, started: float) -> int:
@@ -185,8 +183,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise FloatingPointError(
             f"{exc} (--h {args.h!r}; the chain is stable only for h < 2/M = {2.0 / target.M:.6g})"
         ) from None
-    summary_path = out.with_name(out.stem + ".summary.json")
-    _write_json(summary_path, summary)
+    summary_path = _write_json(out.with_name(out.stem + ".summary.json"), summary)
     manifest = _write_manifest(out, args, [out, summary_path], started)
     print(f"wrote {out} and {summary_path} ({ran}); manifest {manifest}")
     return 0
@@ -235,7 +232,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     out = Path(args.out)
     header = "p,epsilon,k_lmc,k_baseline,log10_k_lmc,log10_k_baseline,ratio"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(out) as fh:
         fh.write(header + "\n")
         for point in points:
             log_l = math.log10(point.k_lmc) if point.k_lmc > 0 else math.nan
@@ -269,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="run a chain and export the trajectory or finals")
     p_sample.add_argument("--target", required=True, help="path to a JSON target description")
-    p_sample.add_argument("--h", required=True, type=_positive_float, help="step size")
-    p_sample.add_argument("--K", required=True, type=_nonnegative_int, help="iteration count")
-    p_sample.add_argument("--seed", type=_nonnegative_int, default=0, help="stream seed")
-    p_sample.add_argument("--sigma", type=_nonnegative_float, default=0.0, help="gradient noise scale")
+    p_sample.add_argument("--h", required=True, type=_flag(positive), help="step size")
+    p_sample.add_argument("--K", required=True, type=_flag(count), help="iteration count")
+    p_sample.add_argument("--seed", type=_flag(count), default=0, help="stream seed")
+    p_sample.add_argument("--sigma", type=_flag(nonnegative), default=0.0, help="gradient noise scale")
     p_sample.add_argument(
         "--oracle",
         choices=("exact", "gaussian", "subsampled"),
@@ -285,49 +282,49 @@ def build_parser() -> argparse.ArgumentParser:
         default="gaussian",
         help="law of the additive gradient noise",
     )
-    p_sample.add_argument("--batch", type=_positive_int, default=1, help="subsample size")
-    p_sample.add_argument("--replicas", type=_positive_int, default=1, help="independent chains")
-    p_sample.add_argument("--init", type=_list_of(_finite_float), default=None, help="comma-separated start")
+    p_sample.add_argument("--batch", type=_flag(count, 1), default=1, help="subsample size")
+    p_sample.add_argument("--replicas", type=_flag(count, 1), default=1, help="independent chains")
+    p_sample.add_argument("--init", type=_list_of(_flag(finite)), default=None, help="comma-separated start")
     p_sample.add_argument("--out", default="sample.csv", help="output CSV path")
     p_sample.set_defaults(func=cmd_sample)
 
     p_bound = sub.add_parser("bound", help="evaluate a closed-form W2 bound")
     p_bound.add_argument("--kind", choices=("lmc", "noisy", "baseline"), default="lmc")
-    p_bound.add_argument("--m", required=True, type=_positive_float, help="strong convexity")
-    p_bound.add_argument("--M", required=True, type=_positive_float, help="gradient Lipschitz")
-    p_bound.add_argument("--h", required=True, type=_positive_float, help="step size")
-    p_bound.add_argument("--K", required=True, type=_nonnegative_int, help="iteration count")
-    p_bound.add_argument("--p", required=True, type=_positive_int, help="dimension")
-    p_bound.add_argument("--w2init", required=True, type=_nonnegative_float, help="initial W2")
-    p_bound.add_argument("--sigma", type=_nonnegative_float, default=0.0, help="gradient noise scale")
+    p_bound.add_argument("--m", required=True, type=_flag(positive), help="strong convexity")
+    p_bound.add_argument("--M", required=True, type=_flag(positive), help="gradient Lipschitz")
+    p_bound.add_argument("--h", required=True, type=_flag(positive), help="step size")
+    p_bound.add_argument("--K", required=True, type=_flag(count), help="iteration count")
+    p_bound.add_argument("--p", required=True, type=_flag(count, 1), help="dimension")
+    p_bound.add_argument("--w2init", required=True, type=_flag(nonnegative), help="initial W2")
+    p_bound.add_argument("--sigma", type=_flag(nonnegative), default=0.0, help="gradient noise scale")
     p_bound.add_argument("--out", default=None, help="optional JSON output path")
     p_bound.set_defaults(func=cmd_bound)
 
     p_plan = sub.add_parser("plan", help="choose (h, K) for a requested precision")
-    p_plan.add_argument("--m", required=True, type=_positive_float, help="strong convexity")
-    p_plan.add_argument("--M", required=True, type=_positive_float, help="gradient Lipschitz")
-    p_plan.add_argument("--p", required=True, type=_positive_int, help="dimension")
-    p_plan.add_argument("--eps", required=True, type=_positive_float, help="target W2 precision")
-    p_plan.add_argument("--w2init", required=True, type=_nonnegative_float, help="initial W2")
+    p_plan.add_argument("--m", required=True, type=_flag(positive), help="strong convexity")
+    p_plan.add_argument("--M", required=True, type=_flag(positive), help="gradient Lipschitz")
+    p_plan.add_argument("--p", required=True, type=_flag(count, 1), help="dimension")
+    p_plan.add_argument("--eps", required=True, type=_flag(positive), help="target W2 precision")
+    p_plan.add_argument("--w2init", required=True, type=_flag(nonnegative), help="initial W2")
     p_plan.add_argument("--out", default=None, help="optional JSON output path")
     p_plan.set_defaults(func=cmd_plan)
 
     p_fig = sub.add_parser("figure1", help="iteration-count comparison curves")
-    p_fig.add_argument("--m", type=_positive_float, default=4.0, help="strong convexity")
-    p_fig.add_argument("--M", type=_positive_float, default=5.0, help="gradient Lipschitz")
-    p_fig.add_argument("--eps", type=_list_of(_positive_float), default=(0.1, 0.3),
+    p_fig.add_argument("--m", type=_flag(positive), default=4.0, help="strong convexity")
+    p_fig.add_argument("--M", type=_flag(positive), default=5.0, help="gradient Lipschitz")
+    p_fig.add_argument("--eps", type=_list_of(_flag(positive)), default=(0.1, 0.3),
                        help="comma-separated precisions")
-    p_fig.add_argument("--p-values", type=_list_of(_positive_int), default=(10, 100, 1000, 10000),
+    p_fig.add_argument("--p-values", type=_list_of(_flag(count, 1)), default=(10, 100, 1000, 10000),
                        help="comma-separated dimensions")
-    p_fig.add_argument("--grid-size", type=_positive_int, default=DEFAULT_GRID_SIZE,
+    p_fig.add_argument("--grid-size", type=_flag(count, 1), default=DEFAULT_GRID_SIZE,
                        help="step-grid resolution")
-    p_fig.add_argument("--span", type=_positive_float, default=DEFAULT_GRID_SPAN,
+    p_fig.add_argument("--span", type=_flag(positive), default=DEFAULT_GRID_SPAN,
                        help="ratio between largest and smallest grid step")
     p_fig.add_argument("--out", default="figure1.csv", help="output CSV path")
     p_fig.set_defaults(func=cmd_figure1)
 
     p_val = sub.add_parser("validate", help="bound-versus-oracle invariant sweep")
-    p_val.add_argument("--seed", type=_seed64, default=0, help="sweep seed")
+    p_val.add_argument("--seed", type=_flag(count, 0, 2**64), default=0, help="sweep seed")
     p_val.set_defaults(func=cmd_validate)
 
     return parser

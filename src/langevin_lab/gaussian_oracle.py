@@ -153,16 +153,15 @@ def moments_after_k(spec: QuadraticSpec, init: GaussianMoments | np.ndarray, h: 
     if not np.isfinite(mean).all():
         cause = f"step size h={h!r} and init give" if np.abs(gk).max() > 1.0 else "init gives"
         raise ValueError(f"{cause} a mean that overflows after k={k} steps")
-    if init._modes is not None and init._modes[0] is V:
-        with np.errstate(over="ignore"):
+    cov = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if init._modes is not None and init._modes[0] is V:
             var = gk * gk * init._modes[1] + var
-        if not np.isfinite(var).all():
-            raise ValueError(f"step size h={h!r} and init give a covariance that overflows after k={k} steps")
-        return _eigen_law(mean, V, var)
-    if not init.cov.any():
-        return _eigen_law(mean, V, var)
-    cov = V @ (gk[:, None] * (V.T @ init.cov @ V) * gk + np.diag(var)) @ V.T
-    return GaussianMoments(mean, symmetrized(cov))
+        elif init.cov.any():
+            cov = V @ (gk[:, None] * (V.T @ init.cov @ V) * gk + np.diag(var)) @ V.T
+    if not np.isfinite(var if cov is None else cov).all():
+        raise ValueError(f"step size h={h!r} and init give a covariance that overflows after k={k} steps")
+    return _eigen_law(mean, V, var) if cov is None else GaussianMoments(mean, symmetrized(cov))
 
 
 def _point_start_w2(spec: QuadraticSpec, theta0: np.ndarray, hs: np.ndarray, ks) -> np.ndarray:
@@ -226,7 +225,7 @@ def w2_init_exact(spec: QuadraticSpec, theta0: np.ndarray) -> float:
     W2^2 = ||theta0 - mean||^2 + tr(precision^{-1}).
     """
     theta0 = array("theta0", theta0, (spec.dim,), " to match the target's dimension")
-    w = np.linalg.eigvalsh(spec.precision)
+    w = spec.eigenbasis[0]
     if w[0] <= 0.0:
         raise ValueError(f"precision must be positive definite; smallest eigenvalue is {w[0]:.6e}")
     delta = theta0 - spec.mean

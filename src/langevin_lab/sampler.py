@@ -68,8 +68,6 @@ _MAX_SEED = 2**64 // _CHANNELS_PER_REPLICA
 _NOISE_BUDGET = 4096
 # float64 values per chunk of replicas and channel (8 MB), see _chunk_rows
 _CHUNK_VALUES = 2**20
-# numpy sums a column pairwise; runs of this many values replay its order
-_PAIRWISE_RUN = 4096
 
 InitialState = Union[np.ndarray, Callable[[np.random.Generator], np.ndarray]]
 
@@ -507,84 +505,45 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     _write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
 
 
-def _pairwise_plan(n: int) -> Iterator[Optional[int]]:
-    """numpy's pairwise summation of n values in postfix order: the
-    lengths of runs of at most _PAIRWISE_RUN (>= 128) values, and None
-    where the last two partial sums are added.  The split is numpy's
-    pairwise_sum (loops_utils.h): halve, rounded down to its 8-way unroll.
-    """
-    if n <= _PAIRWISE_RUN:
-        yield n
-        return
-    half = n // 2 - (n // 2) % 8
-    yield from _pairwise_plan(half)
-    yield from _pairwise_plan(n - half)
-    yield None
+class _RunSummary:
+    """A run's JSON-ready summary from its n states fed one at a time.
 
-
-class _PathMean:
-    """np.mean(iterates, axis=0) of n states fed one at a time, bit for bit.
-
-    numpy adds whole rows in order when p > 1, which a running sum
-    repeats.  A single column it sums pairwise instead; that order is
-    replayed by summing each run of _pairwise_plan with numpy and adding
-    the partial sums as the plan says.  Memory is O(p + _PAIRWISE_RUN).
+    The path mean sums the rows in order from +0.0 and divides by n.
     """
 
     def __init__(self, n: int, p: int) -> None:
-        self.n, self.last = n, None
-        self._sum = np.zeros(p)
-        self._plan = _pairwise_plan(n) if p == 1 else None
-        if self._plan is not None:
-            self._run, self._fill, self._want = np.empty(min(n, _PAIRWISE_RUN)), 0, next(self._plan)
-            self._partials: list = []
+        self.n, self.last, self._sum = n, None, np.zeros(p)
 
     def add(self, row: np.ndarray) -> np.ndarray:
         """Take the next state and return it unchanged."""
         self.last = row
-        if self._plan is None:
-            self._sum += row
-            return row
-        self._run[self._fill] = row[0]
-        self._fill += 1
-        if self._fill == self._want:
-            self._partials.append(float(np.add.reduce(self._run[: self._fill])))
-            self._fill = 0
-            for self._want in self._plan:
-                if self._want is not None:
-                    break
-                right = self._partials.pop()
-                self._partials[-1] += right
+        self._sum += row
         return row
 
-    def value(self) -> np.ndarray:
-        total = self._sum if self._plan is None else self._sum + self._partials[-1]
-        return total / self.n
-
-
-def _summary(config: LmcConfig, iterations: int, replica: int, wall_time: float,
-             final: np.ndarray, path_mean: np.ndarray, tau: Optional[float] = None) -> dict:
-    summary = {
-        "dim": int(final.shape[0]),
-        "iterations": int(iterations),
-        "h": config.h,
-        "seed": config.seed,
-        "oracle": config.oracle.mode,
-        "sigma": config.oracle.sigma,
-        "replica": replica,
-        "wall_time_s": wall_time,
-        "final": [float(x) for x in final],
-        "path_mean": [float(x) for x in path_mean],
-    }
-    if tau is not None:
-        summary["tau"] = tau
-    return summary
+    def summary(self, config: LmcConfig, replica: int, wall_time: float, tau: Optional[float] = None) -> dict:
+        summary = {
+            "dim": self._sum.size,
+            "iterations": self.n - 1,
+            "h": config.h,
+            "seed": config.seed,
+            "oracle": config.oracle.mode,
+            "sigma": config.oracle.sigma,
+            "replica": replica,
+            "wall_time_s": wall_time,
+            "final": [float(x) for x in self.last],
+            "path_mean": [float(x) for x in self._sum / self.n],
+        }
+        if tau is not None:
+            summary["tau"] = tau
+        return summary
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
     """JSON-ready run summary: config echo, final state, per-coordinate path means."""
-    return _summary(traj.config, traj.iterates.shape[0] - 1, traj.replica, traj.wall_time,
-                    traj.iterates[-1], traj.iterates.mean(axis=0), traj.tau)
+    run = _RunSummary(*traj.iterates.shape)
+    for row in traj.iterates:
+        run.add(row)
+    return run.summary(traj.config, traj.replica, traj.wall_time, traj.tau)
 
 
 def write_trajectory(target: TargetPotential, config: LmcConfig, initial: InitialState, path) -> dict:
@@ -600,7 +559,7 @@ def write_trajectory(target: TargetPotential, config: LmcConfig, initial: Initia
     t0 = time.perf_counter()
     _check_step_size(config.h, target)
     theta = _resolve_initial(initial, target, config.seed, 0)
-    path_mean = _PathMean(config.K + 1, target.dim)
+    run = _RunSummary(config.K + 1, target.dim)
     states = chain([theta], _lmc(target, config, theta, range(1)))
-    _write_theta_csv(path, "k", map(path_mean.add, states), target.dim)
-    return _summary(config, config.K, 0, time.perf_counter() - t0, path_mean.last, path_mean.value())
+    _write_theta_csv(path, "k", map(run.add, states), target.dim)
+    return run.summary(config, 0, time.perf_counter() - t0)

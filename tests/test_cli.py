@@ -8,9 +8,10 @@ import pytest
 
 from conftest import subprocess_env
 from langevin_lab import __version__
-from langevin_lab.cli import main
+from langevin_lab.cli import build_parser, main
 from langevin_lab.sampler import GradientOracle, LmcConfig, final_states, run_lmc
 from langevin_lab.gaussian_oracle import gaussian_w2, moments_after_k, stationary_moments, w2_init_exact
+from langevin_lab.planner import CurvePoint
 from langevin_lab.targets import QuadraticSpec, load_target
 
 
@@ -282,6 +283,27 @@ class TestFigureCommand:
         threaded = run("threaded.csv")
         assert serial == threaded
 
+    def test_a_failed_rerun_leaves_the_earlier_files_alone(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "fig.csv"
+        argv = ["figure1", "--m", "2", "--M", "6", "--eps", "0.5", "--p-values", "1,2",
+                "--grid-size", "200", "--out", str(out)]
+        assert main(argv) == 0
+        files = [out, out.with_name(out.name + ".manifest.json")]
+        before = [path.read_bytes() for path in files]
+        real, written = CurvePoint.ratio.fget, []
+
+        def ratio(point):
+            written.append(point)
+            if len(written) == 2:
+                raise RuntimeError("disk full")
+            return real(point)
+
+        monkeypatch.setattr(CurvePoint, "ratio", property(ratio))
+        assert main(argv) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert [path.read_bytes() for path in files] == before
+        assert sorted(tmp_path.iterdir()) == sorted(files)
+
 
 class TestValidateCommand:
     def test_green_sweep_exits_zero(self, capsys):
@@ -291,11 +313,15 @@ class TestValidateCommand:
         assert "all checks passed" in out
         assert out.count(": ok") == 5
 
+    def test_every_64_bit_seed_parses_exactly(self):
+        assert build_parser().parse_args(["validate", "--seed", "18446744073709551615"]).seed == 2**64 - 1
+
     def test_out_of_range_seed_exits_two_and_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--seed", "99999999999999999999999"])
         assert exc.value.code == 2
-        assert "--seed: must be in [0, 2**64), got 99999999999999999999999" in capsys.readouterr().err
+        assert ("argument --seed: must be an integer in [0, 18446744073709551616), "
+                "got 99999999999999999999999") in capsys.readouterr().err
 
 
 def test_plan_then_sample_round_trip(tmp_path, capsys):

@@ -11,7 +11,8 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from langevin_lab.cli import main
+from langevin_lab._scalars import count, finite, nonnegative, positive
+from langevin_lab.cli import build_parser, main
 
 NUMBERS = ["nan", "NaN", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-0", "-1", "1.5",
            "", "abc", "0x10", "1e", " 7", "99999999999999999999"]
@@ -23,6 +24,7 @@ BASE = {
     "bound": {"--m": "4", "--M": "5", "--h": "0.2", "--K": "10", "--p": "3", "--w2init": "1",
               "--sigma": "0.1"},
     "plan": {"--m": "4", "--M": "5", "--p": "10", "--eps": "0.3", "--w2init": "1"},
+    "validate": {"--seed": "3"},
 }
 # values a valid run would take too long or too much memory for
 TOO_BIG = {("sample", "--K"), ("sample", "--replicas")}
@@ -157,3 +159,86 @@ def test_precision_near_the_float_limit_is_symmetrized_without_overflow(tmp_path
 def test_plan_cases_the_fuzz_found(argv, named, capsys):
     code, captured = run(["plan", "--p", "10", "--eps", "0.3"] + argv, capsys)
     assert code == 2 and named in captured.err, captured.err
+
+
+# every numeric flag: the _scalars rule and bounds the library applies to its value
+FLAG_RULES = {
+    ("sample", "--h"): (positive,),
+    ("sample", "--K"): (count,),
+    ("sample", "--seed"): (count,),
+    ("sample", "--sigma"): (nonnegative,),
+    ("sample", "--batch"): (count, 1),
+    ("sample", "--replicas"): (count, 1),
+    ("sample", "--init"): (finite,),
+    ("bound", "--m"): (positive,),
+    ("bound", "--M"): (positive,),
+    ("bound", "--h"): (positive,),
+    ("bound", "--K"): (count,),
+    ("bound", "--p"): (count, 1),
+    ("bound", "--w2init"): (nonnegative,),
+    ("bound", "--sigma"): (nonnegative,),
+    ("plan", "--m"): (positive,),
+    ("plan", "--M"): (positive,),
+    ("plan", "--p"): (count, 1),
+    ("plan", "--eps"): (positive,),
+    ("plan", "--w2init"): (nonnegative,),
+    ("figure1", "--m"): (positive,),
+    ("figure1", "--M"): (positive,),
+    ("figure1", "--eps"): (positive,),
+    ("figure1", "--p-values"): (count, 1),
+    ("figure1", "--grid-size"): (count, 1),
+    ("figure1", "--span"): (positive,),
+    ("validate", "--seed"): (count, 0, 2**64),
+}
+LISTS = {("sample", "--init"), ("figure1", "--eps"), ("figure1", "--p-values")}
+REQUIRED = {
+    "sample": ["--target", "t.json", "--h", "0.1", "--K", "1"],
+    "bound": ["--m", "4", "--M", "5", "--h", "0.2", "--K", "10", "--p", "3", "--w2init", "1"],
+    "plan": ["--m", "4", "--M", "5", "--p", "10", "--eps", "0.3", "--w2init", "1"],
+    "figure1": [],
+    "validate": [],
+}
+
+
+def read(rule, text):
+    """text as the flag reads it: a count through int(), None where int() refuses it."""
+    try:
+        return int(text) if rule is count else text
+    except ValueError:
+        return None
+
+
+def library_rejects(rule, bounds, value):
+    try:
+        rule("x", value, *bounds)  # None, a refused count, is no real number
+    except ValueError:
+        return True
+    return False
+
+
+def test_every_numeric_flag_is_listed():
+    listed = set()
+    for command, parser in build_parser()._subparsers._group_actions[0].choices.items():
+        listed |= {(command, a.option_strings[0]) for a in parser._actions if a.type is not None}
+    assert listed == set(FLAG_RULES)
+
+
+@pytest.mark.parametrize("command, flag", sorted(FLAG_RULES))
+def test_flags_apply_the_library_rules(command, flag, capsys):
+    # parsing exits 2 exactly when the rule rejects a comma-separated part (list flags) or the value
+    rule, *bounds = FLAG_RULES[command, flag]
+    parser = build_parser()
+    for text in NUMBERS:
+        parts = [part for part in text.split(",") if part] if (command, flag) in LISTS else [text]
+        values = [read(rule, part) for part in parts]
+        expected = 2 if any(library_rejects(rule, bounds, value) for value in values) else 0
+        try:
+            parser.parse_args([command, *REQUIRED[command], f"{flag}={text}"])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == expected, (text, err)
+        if code:
+            shown = text if values[0] is None else values[0]
+            assert f"argument {flag}: must be " in err and f"got {shown}" in err.replace("'", ""), err

@@ -284,9 +284,11 @@ def test_warmed_spec_needs_no_further_eigendecompositions(monkeypatch, rng):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigh)
     target = stationary_moments(spec)
     theta0 = spec.mean + 3.0 * rng.standard_normal(6)
     distances = [gaussian_w2(moments_after_k(spec, theta0, 0.05, k), target) for k in (10, 100, 300)]
+    assert w2_init_exact(spec, theta0) > 0.0
     assert calls == []
     assert all(math.isfinite(w) and w > 0.0 for w in distances)
 
@@ -346,6 +348,14 @@ def test_covariance_that_overflows_from_a_law_in_the_eigenbasis_raises():
     assert law.cov[0, 0] == pytest.approx(4.9e176, rel=0.01)
     with pytest.raises(ValueError, match=r"^step size h=2.5 and init give a covariance that overflows after k=500 steps"):
         moments_after_k(spec, law, 2.5, 500)
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariance_that_overflows_from_a_full_start_covariance_raises():
+    # a start law built by the caller is not in the eigenbasis, so E^k cov_0 E^k is a full product
+    spec = QuadraticSpec(np.array([0.0]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match=r"^step size h=2.5 and init give a covariance that overflows after k=500 steps"):
+        moments_after_k(spec, GaussianMoments([0.0], [[1e300]]), 2.5, 500)
 
 
 @pytest.mark.filterwarnings("error")

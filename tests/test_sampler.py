@@ -560,7 +560,6 @@ def test_streamed_trajectory_equals_the_recorded_one(p, K, seed, oracle, budget,
         cfg, runner = LmcConfig(h=0.1, K=K, seed=seed, oracle=law), run_nlmc
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
-        mp.setattr(sampler_mod, "_PAIRWISE_RUN", 128)  # several pairwise runs already at K ~ 300
         streamed = sampler_mod.write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv")
     traj = runner(target, cfg, np.full(p, -0.5))
     trajectory_to_csv(traj, tmp / "recorded.csv")
@@ -572,15 +571,29 @@ def test_streamed_trajectory_equals_the_recorded_one(p, K, seed, oracle, budget,
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 20_000), p=st.integers(1, 3), seed=st.integers(0, 2**20))
-def test_path_mean_is_numpys_mean_bit_for_bit(n, p, seed):
-    # a single column is summed pairwise by numpy, several columns row by row
+def test_path_mean_is_the_in_order_row_sum(n, p, seed):
+    # every p sums rows in order from +0.0; numpy's mean does so only for p > 1
     r = np.random.Generator(np.random.Philox(key=[seed, 3]))
     rows = r.standard_normal((n, p)) * np.exp(4.0 * r.standard_normal((n, p)))
-    acc = sampler_mod._PathMean(n, p)
+    run = sampler_mod._RunSummary(n, p)
+    total = np.zeros(p)
     for row in rows:
-        acc.add(row)
-    assert np.array_equal(acc.value(), rows.mean(axis=0))
-    assert np.array_equal(acc.last, rows[-1])
+        run.add(row)
+        total = total + row
+    summary = run.summary(LmcConfig(h=0.1, K=n - 1), 0, 0.0)
+    assert summary["path_mean"] == list(total / n) and summary["final"] == list(rows[-1])
+    if p > 1:
+        assert summary["path_mean"] == list(rows.mean(axis=0))
+
+
+def test_a_negative_zero_start_has_a_positive_zero_path_mean(tmp_path):
+    # numpy's mean of the rows also starts from +0.0, so p > 1 summaries keep their bits
+    for p in (1, 2, 3):
+        target = quadratic_target(np.zeros(p), np.eye(p))
+        summary = sampler_mod.write_trajectory(target, LmcConfig(h=0.1, K=0), np.full(p, -0.0), tmp_path / "c.csv")
+        assert [math.copysign(1.0, x) for x in summary["final"]] == [-1.0] * p
+        assert [math.copysign(1.0, x) for x in summary["path_mean"]] == [1.0] * p
+        assert np.mean(np.full((1, p), -0.0), axis=0).tobytes() == np.array(summary["path_mean"]).tobytes()
 
 
 class TestChainHealth:
