@@ -309,6 +309,9 @@ def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundRepo
 
 def baseline_terms(m, M, h, p, w2_init):
     """(coef, rate, floor) with baseline_value**2 = coef * rate**K + floor, vectorized in h."""
+    # beyond this the contraction term is lost: rate**K underflows first or the product overflows
+    if not (coef := 2.0 * w2_init * w2_init) < math.inf:
+        raise ValueError(f"w2_init={w2_init:g} is too large for the comparison bound: 2 w2_init^2 overflows")
     h = np.asarray(h, dtype=float)
     s = m + M
     floor = (
@@ -317,7 +320,7 @@ def baseline_terms(m, M, h, p, w2_init):
         * (h + s / (2.0 * m * M))
         * (2.0 + M * M * h / m + M * M * h * h / 6.0)
     )
-    return 2.0 * w2_init * w2_init, 1.0 - m * M * h / s, floor
+    return coef, 1.0 - m * M * h / s, floor
 
 
 def baseline_value(m, M, h, K, p, w2_init):

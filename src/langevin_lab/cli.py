@@ -11,8 +11,9 @@ Subcommands:
 Every file-producing subcommand writes a ``<output>.manifest.json``
 next to its outputs with the parameters, wall time, and sha256 digest
 of each file, so results can be traced back to the exact invocation.
-Exit codes: 0 on success, 2 for unusable flag values, 1 for failures
-at run time.
+Exit codes, set in main alone: 0 on success, 2 for a ValueError (a value
+the library refuses; one about a target file starts with its path), 1
+for anything else, such as an unreachable precision or a diverging chain.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ from .sampler import GradientOracle, LmcConfig, final_states, write_trajectory, 
 from .sampler import run_lmc, run_nlmc, trajectory_to_csv  # noqa: F401
 from .targets import load_target
 from .validation import run_all_checks
-
-
-class UsageError(Exception):
-    """Flag combination or value that cannot be acted on."""
 
 
 def _flag(rule, *bounds):
@@ -129,36 +126,12 @@ def _emit_json(args: argparse.Namespace, payload: dict, started: float) -> int:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_sample(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.sigma > 0.0 and args.oracle == "exact":
-        raise UsageError("--sigma requires a noisy oracle; pass --oracle gaussian")
-    try:
-        target = load_target(args.target)
-    except ValueError as exc:  # the file's contents, not its absence (OSError, exit 1)
-        raise UsageError(f"{args.target}: {exc}") from None
-    if args.oracle == "subsampled":
-        if target.parts is None:
-            raise UsageError(
-                "--oracle subsampled needs a finite-sum target (type 'logistic')"
-            )
-        if args.batch > target.parts.n_obs:
-            raise UsageError(
-                f"--batch {args.batch} exceeds the target's {target.parts.n_obs} observations"
-            )
-    try:
-        oracle = GradientOracle(
-            mode=args.oracle, sigma=args.sigma, batch=args.batch, noise=args.noise
-        )
-        config = LmcConfig(h=args.h, K=args.K, seed=args.seed, oracle=oracle)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.init is None:
-        initial = np.zeros(target.dim)
-    else:
-        if len(args.init) != target.dim:
-            raise UsageError(
-                f"--init has {len(args.init)} coordinates but the target has dimension {target.dim}"
-            )
-        initial = np.asarray(args.init, dtype=float)
+    oracle = GradientOracle(
+        mode=args.oracle, sigma=args.sigma, batch=args.batch, noise=args.noise
+    )
+    config = LmcConfig(h=args.h, K=args.K, seed=args.seed, oracle=oracle)
+    target = load_target(args.target)
+    initial = np.zeros(target.dim) if args.init is None else args.init
 
     out = Path(args.out)
     try:
@@ -191,45 +164,34 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        inputs = BoundInputs(
-            m=args.m, M=args.M, h=args.h, K=args.K, p=args.p, w2_init=args.w2init, sigma=args.sigma
-        )
-        if args.kind == "lmc":
-            payload = lmc_bound(inputs).as_dict()
-        elif args.kind == "noisy":
-            payload = noisy_lmc_bound(inputs).as_dict()
-        else:
-            payload = {"value": baseline_bound(inputs)}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    inputs = BoundInputs(
+        m=args.m, M=args.M, h=args.h, K=args.K, p=args.p, w2_init=args.w2init, sigma=args.sigma
+    )
+    if args.kind == "lmc":
+        payload = lmc_bound(inputs).as_dict()
+    elif args.kind == "noisy":
+        payload = noisy_lmc_bound(inputs).as_dict()
+    else:
+        payload = {"value": baseline_bound(inputs)}
     return _emit_json(args, payload, started)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        plan = plan_for_epsilon(args.m, args.M, args.p, args.w2init, args.eps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    plan = plan_for_epsilon(args.m, args.M, args.p, args.w2init, args.eps)
     return _emit_json(args, plan.as_dict(), started)
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        points = figure1_curves(
-            m=args.m,
-            M=args.M,
-            epsilons=args.eps,
-            p_values=args.p_values,
-            grid_size=args.grid_size,
-            span=args.span,
-        )
-    except UnreachablePrecisionError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    points = figure1_curves(
+        m=args.m,
+        M=args.M,
+        epsilons=args.eps,
+        p_values=args.p_values,
+        grid_size=args.grid_size,
+        span=args.span,
+    )
     out = Path(args.out)
     header = "p,epsilon,k_lmc,k_baseline,log10_k_lmc,log10_k_baseline,ratio"
     with _replacing(out) as fh:
@@ -341,12 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except Exception as exc:  # the module docstring states the exit codes
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failures: bad files, unreachable precision, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValueError) and not isinstance(exc, UnreachablePrecisionError) else 1
 
 
 if __name__ == "__main__":

@@ -195,7 +195,7 @@ def _minimal_k(
         """The logarithm's smallest K over g; after rounding it may be a step off."""
         coef, rate, floor = terms(m, M, g, p, w2_init)
         slack = epsilon**power - floor
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # coef / slack may overflow to inf
             steps = np.maximum(np.ceil(np.log(coef / slack) / -np.log(np.maximum(rate, 0.0))), 1.0)
             k_h = np.where(coef <= slack, 0.0, np.where((slack > 0.0) & (rate < 1.0), steps, np.inf))
         return float(k_h.min())

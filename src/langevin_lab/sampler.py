@@ -232,6 +232,17 @@ def lmc_step(state: np.ndarray, target: TargetPotential, h: float, noise: np.nda
     return state - h * target.grad(state) + math.sqrt(2.0 * h) * noise
 
 
+def _check_subsampled(target: TargetPotential, oracle: GradientOracle) -> None:
+    """The subsampled oracle needs a finite-sum target with at least batch observations."""
+    if target.parts is None:
+        raise ValueError(
+            "target has no finite-sum structure; the subsampled oracle needs "
+            "per-observation gradients"
+        )
+    if oracle.batch > target.parts.n_obs:
+        raise ValueError(f"batch {oracle.batch} exceeds the observation count {target.parts.n_obs}")
+
+
 def oracle_gradient(
     target: TargetPotential,
     oracle: GradientOracle,
@@ -256,17 +267,10 @@ def oracle_gradient(
         else:
             zeta = 2.0 * rng.integers(0, 2, size=state.shape).astype(float) - 1.0
         return g + oracle.sigma * zeta
-    # subsampled
-    if target.parts is None:
-        raise ValueError(
-            "target has no finite-sum structure; the subsampled oracle needs "
-            "per-observation gradients"
-        )
+    _check_subsampled(target, oracle)
     if state.ndim != 1:
         raise ValueError("the subsampled oracle supports single states, not batches")
     n = target.parts.n_obs
-    if oracle.batch > n:
-        raise ValueError(f"batch {oracle.batch} exceeds the observation count {n}")
     idx = rng.choice(n, size=oracle.batch, replace=False)
     scale = n / oracle.batch
     return scale * target.parts.obs_grad(state, idx).sum(axis=0) + target.parts.common_grad(state)
@@ -319,6 +323,7 @@ def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas
     """The states of config's chain from theta, one state per replica (see _advance)."""
     oracle, h = config.oracle, config.h
     if oracle.mode == "subsampled":
+        _check_subsampled(target, oracle)  # here too, so a K = 0 chain is refused like any other
         rngs = [noise_stream(config.seed, r, ZETA_STREAM) for r in replicas]
         grads = lambda x: [oracle_gradient(target, oracle, y, g) for y, g in zip(np.atleast_2d(x), rngs)]
         drift = lambda x, z: np.reshape(grads(x), x.shape)
@@ -454,22 +459,25 @@ def _replacing(path) -> Iterator[TextIO]:
     moves onto path (through symlinks, keeping an existing file's mode);
     on any failure only that file is removed, so an existing path keeps
     its bytes.  A path that exists but cannot be opened for writing fails
-    first, as a plain open would.
+    first, and a failed open names path as given, as a plain open would.
     """
-    path = Path(os.path.realpath(path))
     try:
         with open(path, "rb+") as existing:  # neither creates nor truncates
             mode = os.fstat(existing.fileno()).st_mode
     except FileNotFoundError:
         mode = None
-    partial = path.with_name(path.name + ".partial")
-    fh = open(partial, "w", encoding="utf-8", newline="\n")
+    real = os.path.realpath(path)
+    partial = Path(real + ".partial")
+    try:
+        fh = open(partial, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the path as given, not its resolved .partial
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh
         if mode is not None:
             os.chmod(partial, stat.S_IMODE(mode))
-        os.replace(partial, path)
+        os.replace(partial, real)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise

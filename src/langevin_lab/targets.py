@@ -318,10 +318,13 @@ def target_from_dict(payload: dict) -> TargetPotential:
 
 
 def load_target(path: str | Path) -> TargetPotential:
-    """Read a target description from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return target_from_dict(payload)
+    """Read a target description from a JSON file; a ValueError about its contents starts with path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        return target_from_dict(payload)
+    except ValueError as exc:  # bad JSON or UTF-8, bad data, a precision that is not positive definite
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow at the probe points raises below

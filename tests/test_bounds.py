@@ -172,6 +172,20 @@ class TestBaselineBound:
         assert lmc_bound(j).value < baseline_bound(j)
 
 
+    @pytest.mark.parametrize("K", [2000, 1000])
+    def test_w2_init_whose_square_overflows_is_named(self, K):
+        # the stated form is about 1.1e132 at K = 2000 and 1.4e220 at K = 1000, which floats
+        # cannot form: rate**K underflows to 0 first, or the product overflows
+        i = BoundInputs(m=1.0, M=2.0, h=0.5, K=K, p=1, w2_init=1e308)
+        with pytest.raises(ValueError, match=r"w2_init=1e\+308 is too large .*: 2 w2_init\^2 overflows"):
+            baseline_bound(i)
+
+    def test_largest_w2_init_whose_square_is_finite_evaluates(self):
+        w2 = math.sqrt(math.nextafter(math.inf, 0.0) / 2.0)
+        assert 2.0 * w2 * w2 < math.inf
+        assert math.isfinite(float(baseline_value(1.0, 2.0, 0.5, 3.0, 1, w2)))
+
+
 class TestInitBounds:
     def test_mean_based_formula(self):
         assert init_w2_from_mean(0.0, 1, 1.0) == 1.0

@@ -63,7 +63,7 @@ class TestExitCodes:
                      "--sigma", "1.0", "--oracle", "exact",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "--oracle gaussian" in capsys.readouterr().err
+        assert "sigma must be 0 for the exact oracle" in capsys.readouterr().err
 
     def test_missing_target_file_returns_one(self, tmp_path, capsys):
         code = main(["sample", "--target", str(tmp_path / "nope.json"),
@@ -239,13 +239,44 @@ class TestSampleCommand:
                      "--K", "5", "--oracle", "subsampled", "--batch", "20",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "8 observations" in capsys.readouterr().err
+        assert "batch 20 exceeds the observation count 8" in capsys.readouterr().err
 
     def test_init_dimension_mismatch_returns_two(self, quad_target_file, tmp_path, capsys):
         code = main(["sample", "--target", str(quad_target_file), "--h", "0.05",
                      "--K", "5", "--init", "1,2,3", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "dimension" in capsys.readouterr().err
+
+
+# main's one exit rule: a ValueError from the library exits 2 with its message,
+# an unreachable precision and every other failure exit 1
+BOUND = ["bound", "--kind", "baseline", "--m", "1", "--M", "2", "--h", "0.5", "--K", "2000", "--p", "1"]
+EXIT_RULE = [
+    (BOUND + ["--w2init", "1e308"], 2, "w2_init=1e+308 is too large"),
+    (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "0.3", "--w2init", "1e308"], 2, "w2_init=1e+308"),
+    (["figure1", "--span", "1", "--out", "fig.csv"], 2, "grid span must exceed 1"),
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--seed", str(2**62)], 2, "seed must be"),
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "0", "--oracle", "subsampled"], 2,
+     "target has no finite-sum structure"),
+    (["figure1", "--eps", "1e-9", "--p-values", "10", "--grid-size", "100", "--out", "fig.csv"], 1,
+     "epsilon=1e-09 is unreachable"),
+    (["sample", "--target", "stiff.json", "--h", "0.5", "--K", "2000"], 1, "chain diverged"),
+    (BOUND + ["--w2init", "1", "--out", "nodir/b.json"], 1, "No such file or directory: 'nodir/b.json'"),
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--out", "nodir/x.csv"], 1,
+     "No such file or directory: 'nodir/x.csv'"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:step size h=0.5 is at or beyond 2/M")
+@pytest.mark.parametrize("argv, code, message", EXIT_RULE)
+def test_exit_rule(argv, code, message, quad_target_file, tmp_path, monkeypatch, capsys):
+    (tmp_path / "stiff.json").write_text(json.dumps({"type": "quadratic", "mean": [0.0, 0.0],
+                                                     "precision": [[1.0, 0.0], [0.0, 5.0]]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and ".partial" not in err, err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["quad.json", "stiff.json"]
 
 
 class TestFigureCommand:

@@ -47,7 +47,7 @@ def run(argv, capsys):
 
 
 # library names of the flags, which library errors use
-FIELD_NAMES = {"--w2init": "w2_init", "--eps": "epsilon"}
+FIELD_NAMES = {"--w2init": "w2_init", "--eps": "epsilon", "--init": "initial state"}
 
 
 def names(err, named):

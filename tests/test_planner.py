@@ -317,6 +317,21 @@ def test_plan_certifies_where_one_minus_mh_rounds_up(m, M, p, w2, lo, hi):
         assert plan.predicted_bound <= eps
 
 
+def test_baseline_count_refuses_a_w2_init_whose_square_overflows():
+    # float evaluation loses the contraction term here, so its counts would not be certified
+    # (the log-space count on the default grid is 83,156)
+    with pytest.raises(ValueError, match=r"w2_init=1e\+308 is too large"):
+        minimal_k_baseline(1.0, 2.0, 1, 1e308, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lmc_count_where_the_closed_form_seed_overflows():
+    # coef / slack overflows to inf in the seed, quietly; K is still confirmed on the bound
+    m, M, p, w2, eps = 1.0, 2.0, 1, 1e308, 0.5
+    want = _bisection_minimal_k(lmc_value_small_step, m, M, p, w2, eps, default_h_grid(m, M), 10**12)
+    assert minimal_k_lmc(m, M, p, w2, eps) == want == 37702
+
+
 def test_plan_names_the_dimension_when_it_makes_14_m2_p_overflow():
     with pytest.raises(ValueError, match=r"dimension p=1e\+308 is too large to plan for: 14 M\^2 p overflows"):
         plan_for_epsilon(1.0, 2.0, 1e308, 1.0, 0.5)
