@@ -10,6 +10,8 @@ import reprlib
 
 import numpy as np
 
+_SYM_TOL = 1e-12
+
 
 def _checked(name: str, value, ok=lambda x: True, requirement: str = "") -> float:
     """value as a float (inf for an int beyond the float range) on which ok holds."""
@@ -82,3 +84,26 @@ def array(name: str, value, shape: tuple, context: str = "", check_finite: bool 
         where = f"[{', '.join(map(str, at))}]" if at else ""
         raise ValueError(f"{name}{where} must be finite, got {a[at]}")
     return a
+
+
+def choice(name: str, value, options: tuple) -> str:
+    """value, which must be one of the strings in options."""
+    if not (isinstance(value, str) and value in options):  # an array would compare elementwise
+        raise ValueError(f"{name} must be {', '.join(map(repr, options[:-1]))} or {options[-1]!r}, got {value!r}")
+    return value
+
+
+def symmetrized(S: np.ndarray) -> np.ndarray:
+    """(S + S') / 2, halving before adding in the entries where the sum overflows."""
+    with np.errstate(over="ignore"):
+        sym = (S + S.T) / 2.0
+    return sym if np.isfinite(sym).all() else np.where(np.isfinite(sym), sym, S / 2.0 + S.T / 2.0)
+
+
+def symmetric(name: str, S: np.ndarray) -> np.ndarray:
+    """The finite square matrix S symmetrized, if max |S - S'| <= _SYM_TOL * max(|S|, 1)."""
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf, and refused
+        asym = float(np.abs(S - S.T).max())
+    if not asym <= _SYM_TOL * max(float(np.abs(S).max()), 1.0):
+        raise ValueError(f"{name} is not symmetric: max |S - S'| = {asym:.3e}")
+    return symmetrized(S)

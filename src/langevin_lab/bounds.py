@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._scalars import count, curvature, finite, nonnegative, positive
+from ._scalars import choice, count, curvature, finite, nonnegative, positive
 
 __all__ = [
     "BoundInputs",
@@ -158,8 +158,7 @@ def _branch(m, M, h, regime: str | None):
     if regime is None:
         small = h <= boundary
         return SMALL_STEP if small.all() else LARGE_STEP if not small.any() else small
-    if regime not in (SMALL_STEP, LARGE_STEP):
-        raise ValueError(f"unknown regime {regime!r}")
+    regime = choice("regime", regime, (SMALL_STEP, LARGE_STEP))
     bad = h > boundary if regime == SMALL_STEP else h < boundary
     if bad.any():
         side = "<=" if regime == SMALL_STEP else ">="

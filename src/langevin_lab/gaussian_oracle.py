@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalars import array, count, positive
-from .targets import QuadraticSpec, symmetrized
+from ._scalars import array, count, positive, symmetric, symmetrized
+from .targets import QuadraticSpec
 
 __all__ = [
     "GaussianMoments",
@@ -56,12 +56,8 @@ class GaussianMoments:
 
     def __post_init__(self) -> None:
         mean = array("mean", self.mean, (None,))
-        cov = array("cov", self.cov, (mean.size, mean.size), " to match mean")
+        cov = symmetric("cov", array("cov", self.cov, (mean.size, mean.size), " to match mean"))
         scale = max(float(np.abs(cov).max()), 1.0)
-        asym = float(np.abs(cov - cov.T).max())
-        if asym > _EIG_TOL * scale:
-            raise ValueError(f"cov is not symmetric: max |S - S'| = {asym:.3e}")
-        cov = symmetrized(cov)
         w, V = np.linalg.eigh(cov)
         if w[0] < -_EIG_TOL * scale:
             raise ValueError(f"cov is not positive semidefinite: smallest eigenvalue {w[0]:.3e}")

@@ -12,6 +12,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from ._scalars import count
+
 ENV_THREADS = "LANGEVIN_LAB_THREADS"
 
 T = TypeVar("T")
@@ -25,13 +27,7 @@ def thread_cap() -> int:
     raw = os.environ.get(ENV_THREADS)
     if raw is None:
         return max(1, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_THREADS} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"{ENV_THREADS} must be a positive integer, got {raw!r}")
-    return n
+    return count(ENV_THREADS, raw, 1)
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:

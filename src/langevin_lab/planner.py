@@ -111,6 +111,8 @@ def default_h_grid(
     if not span > 1.0:
         raise ValueError(f"grid span must exceed 1, got {span}")
     hi = 2.0 / (m + M)
+    if not hi < 2.0 / M:  # the top step would be 2/M, where no bound is stated
+        raise ValueError(f"M/m = {M / m:g} is too large for a step grid: 2/(m+M) rounds to 2/M (m={m:g}, M={M:g})")
     return np.geomspace(hi / span, hi, size)
 
 
@@ -195,8 +197,9 @@ def _minimal_k(
         """The logarithm's smallest K over g; after rounding it may be a step off."""
         coef, rate, floor = terms(m, M, g, p, w2_init)
         slack = epsilon**power - floor
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # coef / slack may overflow to inf
-            steps = np.maximum(np.ceil(np.log(coef / slack) / -np.log(np.maximum(rate, 0.0))), 1.0)
+        # log(coef) - log(slack) stays finite where coef / slack overflows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.maximum(np.ceil((np.log(coef) - np.log(slack)) / -np.log(np.maximum(rate, 0.0))), 1.0)
             k_h = np.where(coef <= slack, 0.0, np.where((slack > 0.0) & (rate < 1.0), steps, np.inf))
         return float(k_h.min())
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
-from ._scalars import array, count, nonnegative, positive
+from ._scalars import array, choice, count, nonnegative, positive
 from .parallel import parallel_map
 from .targets import TargetPotential
 
@@ -153,17 +153,13 @@ class GradientOracle:
     noise: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "gaussian", "subsampled"):
-            raise ValueError(
-                f"oracle mode must be 'exact', 'gaussian' or 'subsampled', got {self.mode!r}"
-            )
+        choice("oracle mode", self.mode, ("exact", "gaussian", "subsampled"))
         sigma = nonnegative("sigma", self.sigma)
         if self.mode == "exact" and sigma != 0.0:
             raise ValueError("sigma must be 0 for the exact oracle; use mode='gaussian'")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "batch", count("batch", self.batch, 1))
-        if self.noise not in ("gaussian", "rademacher"):
-            raise ValueError(f"noise law must be 'gaussian' or 'rademacher', got {self.noise!r}")
+        choice("noise law", self.noise, ("gaussian", "rademacher"))
 
 
 @dataclass(frozen=True)
@@ -210,10 +206,7 @@ def _check_step_size(h: float, target: TargetPotential) -> None:
 def _resolve_initial(initial: InitialState, target: TargetPotential, seed: int, replica: int) -> np.ndarray:
     if callable(initial):
         initial = initial(noise_stream(seed, replica, INIT_STREAM))
-    theta0 = array("initial state", initial, (target.dim,), " to match the target's dimension", check_finite=False)
-    if not np.isfinite(theta0).all():
-        raise ValueError(f"initial state must be finite, got {theta0}")
-    return theta0
+    return array("initial state", initial, (target.dim,), " to match the target's dimension")
 
 
 def lmc_step(state: np.ndarray, target: TargetPotential, h: float, noise: np.ndarray) -> np.ndarray:
@@ -222,13 +215,11 @@ def lmc_step(state: np.ndarray, target: TargetPotential, h: float, noise: np.nda
     if not 2.0 * h < math.inf:
         raise ValueError(f"step size h={h} is too large: the noise scale sqrt(2h) overflows")
     state = np.asarray(state, dtype=float)
-    noise = np.asarray(noise, dtype=float)
     if state.shape[-1] != target.dim:
         raise ValueError(
             f"state has dimension {state.shape[-1]} but the target has dimension {target.dim}"
         )
-    if noise.shape != state.shape:
-        raise ValueError(f"noise has shape {noise.shape} but state has shape {state.shape}")
+    noise = array("noise", noise, state.shape, " to match state", check_finite=False)
     return state - h * target.grad(state) + math.sqrt(2.0 * h) * noise
 
 
@@ -433,7 +424,7 @@ def final_states(
     replica's own stream.  A replica whose state turns non-finite raises
     FloatingPointError.
     """
-    replicas = count("replicas", replicas, 1)
+    replicas = count("replicas", replicas, 1, np.iinfo(np.intp).max // (8 * target.dim) + 1)  # np.empty's limit
     _check_step_size(config.h, target)
     seed = config.seed
     out = np.empty((replicas, target.dim))

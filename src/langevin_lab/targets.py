@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scalars import array, count, curvature, nonnegative, positive
+from ._scalars import array, choice, count, curvature, nonnegative, positive, symmetric
 
 __all__ = [
     "QuadraticSpec",
@@ -36,16 +36,6 @@ __all__ = [
     "load_target",
     "check_curvature",
 ]
-
-_SYM_TOL = 1e-12
-
-
-def symmetrized(S: np.ndarray) -> np.ndarray:
-    """(S + S') / 2, halving before adding in the entries where the sum overflows."""
-    with np.errstate(over="ignore"):
-        sym = (S + S.T) / 2.0
-    return sym if np.isfinite(sym).all() else np.where(np.isfinite(sym), sym, S / 2.0 + S.T / 2.0)
-
 
 @dataclass(frozen=True, eq=False)
 class QuadraticSpec:
@@ -63,12 +53,7 @@ class QuadraticSpec:
 
     def __post_init__(self) -> None:
         mean = array("mean", self.mean, (None,)).copy()
-        prec = array("precision", self.precision, (mean.size, mean.size), " to match mean")
-        asym = float(np.abs(prec - prec.T).max())
-        scale = max(float(np.abs(prec).max()), 1.0)
-        if asym > _SYM_TOL * scale:
-            raise ValueError(f"precision is not symmetric: max |A - A'| = {asym:.3e}")
-        prec = symmetrized(prec)
+        prec = symmetric("precision", array("precision", self.precision, (mean.size, mean.size), " to match mean"))
         mean.flags.writeable = False
         prec.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -243,24 +228,10 @@ def custom_target(
     Pass vectorized=False for callables that only handle a single (p,)
     point; they are then lifted over the leading batch axis.
     """
-    if vectorized:
-        f, g = eval, grad
-    else:
-        f0, g0 = eval, grad
-
-        def f(theta: np.ndarray) -> np.ndarray:
-            theta = np.asarray(theta, dtype=float)
-            if theta.ndim == 1:
-                return np.asarray(f0(theta), dtype=float)
-            return np.apply_along_axis(lambda row: float(f0(row)), -1, theta)
-
-        def g(theta: np.ndarray) -> np.ndarray:
-            theta = np.asarray(theta, dtype=float)
-            if theta.ndim == 1:
-                return np.asarray(g0(theta), dtype=float)
-            return np.apply_along_axis(lambda row: np.asarray(g0(row), dtype=float), -1, theta)
-
-    return TargetPotential(dim=dim, m=m, M=M, eval=f, grad=g)
+    if not vectorized:
+        eval = np.vectorize(eval, otypes=[float], signature="(p)->()")
+        grad = np.vectorize(grad, otypes=[float], signature="(p)->(p)")
+    return TargetPotential(dim=dim, m=m, M=M, eval=eval, grad=grad)
 
 
 def temper(target: TargetPotential, tau: float) -> TargetPotential:
@@ -306,9 +277,7 @@ def target_from_dict(payload: dict) -> TargetPotential:
     """
     if not isinstance(payload, dict):
         raise ValueError(f"target description must be an object, got {type(payload).__name__}")
-    kind = payload.get("type")
-    if kind not in ("quadratic", "logistic"):
-        raise ValueError(f"unknown target type: {kind!r} (expected 'quadratic' or 'logistic')")
+    kind = choice("target type", payload.get("type"), ("quadratic", "logistic"))
     fields = ("mean", "precision") if kind == "quadratic" else ("X", "y", "ridge")
     if missing := [k for k in fields if k not in payload]:
         raise ValueError(f"{kind} target is missing fields: {', '.join(missing)}")

@@ -6,6 +6,7 @@ passes numpy's own conversion message through, and never returns NaN.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from langevin_lab import (
     final_states,
     gaussian_w2,
     gradient_descent,
+    lmc_step,
     logistic_target,
     minimal_k_baseline,
     minimal_k_lmc,
@@ -31,6 +33,7 @@ from langevin_lab import (
     target_from_dict,
     w2_init_exact,
 )
+from langevin_lab._scalars import symmetrized
 
 from test_scalar_args import finite_values, names
 
@@ -61,6 +64,7 @@ ENTRIES = {
                                    dict(X=("X", "y"), y=("y",), ridge=("ridge",))),
     "GaussianMoments": (GaussianMoments, dict(mean=MEAN, cov=PRECISION), dict(mean=("mean", "cov"), cov=("cov",))),
     "point_mass": (point_mass, dict(theta=MEAN), dict(theta=("theta",))),
+    "lmc_step": (lmc_step, dict(state=MEAN, target=QUAD, h=0.1, noise=np.array([1.0, -0.5])), dict(noise=("noise",))),
     "moments_after_k": (moments_after_k, dict(spec=SPEC, init=MEAN, h=0.1, k=4), dict(init=("init",))),
     "w2_init_exact": (w2_init_exact, dict(spec=SPEC, theta0=MEAN), dict(theta0=("theta0",))),
     "empirical_w2_1d": (empirical_w2_1d, dict(xs=[0.3, -1.0, 2.0], ys=[1.0, 0.0, 0.5]),
@@ -84,6 +88,8 @@ ENTRIES = {
 
 KINDS = ["nan entry", "inf entry", "empty", "ragged", "more dimensions", "fewer dimensions", "longer",
          "abc", "None", "{}"]
+# lmc_step adds the noise it is given, so a non-finite entry there is passed through
+UNCHECKED_ENTRIES = {"noise"}
 NUMPY_WORDS = ("could not convert", "setting an array element", "inhomogeneous", "float() argument")
 
 
@@ -113,7 +119,7 @@ def bad_call(draw):
     entry = draw(st.sampled_from(sorted(ENTRIES)))
     fn, kwargs, fuzzed = ENTRIES[entry]
     arg = draw(st.sampled_from(sorted(fuzzed)))
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from([k for k in KINDS if not (arg in UNCHECKED_ENTRIES and k.endswith("entry"))]))
     value = bad_value(kwargs[arg], kind, draw(st.integers(0, 5)))
     return entry, fn, dict(kwargs, **{arg: value}), arg, kind, fuzzed[arg]
 
@@ -148,4 +154,41 @@ def test_array_arguments_return_finite_values_or_name_the_argument(case):
 def test_inputs_that_were_mishandled_now_raise_naming_the_argument(call, message):
     with pytest.raises(ValueError) as exc:
         call()
+    assert message in str(exc.value)
+
+
+# the symmetry rule: max |S - S'| <= 1e-12 max(|S|, 1), then (S + S') / 2
+SYMMETRIC = [(lambda S: QuadraticSpec(MEAN, S).precision, "precision"), (lambda S: GaussianMoments(MEAN, S).cov, "cov")]
+
+
+@pytest.mark.parametrize("build, name", SYMMETRIC)
+def test_nearly_symmetric_matrices_are_symmetrized(build, name):
+    S = PRECISION.copy()
+    S[0, 1] += 1e-13
+    got = build(S)
+    assert np.array_equal(got, got.T) and np.array_equal(got, symmetrized(S)), name
+
+
+@pytest.mark.parametrize("build, name", SYMMETRIC)
+@pytest.mark.parametrize("S, gap", [
+    ([[2.0, 0.6], [0.5, 1.0]], "1.000e-01"),
+    ([[2.0, 0.5 + 1e-11], [0.5, 1.0]], "1.000e-11"),
+    ([[0.0, 1.7e308], [-1.7e308, 0.0]], "inf"),  # S - S' overflows, quietly
+])
+def test_asymmetric_matrices_are_refused_without_a_warning(build, name, S, gap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            build(np.array(S))
+    assert f"{name} is not symmetric: max |S - S'| = {gap}" in str(exc.value)
+
+
+@pytest.mark.parametrize("state, noise, message", [
+    (MEAN, np.ones(3), "noise must have shape (2,) to match state, got shape (3,)"),
+    (np.zeros((4, 2)), np.ones(2), "noise must be a 2-d array to match state, got shape (2,)"),
+    (MEAN, "ab", "noise must be numbers in a rectangular array, got 'ab'"),
+])
+def test_step_noise_must_match_the_state(state, noise, message):
+    with pytest.raises(ValueError) as exc:
+        lmc_step(state, QUAD, 0.1, noise)
     assert message in str(exc.value)

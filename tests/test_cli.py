@@ -255,6 +255,9 @@ EXIT_RULE = [
     (BOUND + ["--w2init", "1e308"], 2, "w2_init=1e+308 is too large"),
     (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "0.3", "--w2init", "1e308"], 2, "w2_init=1e+308"),
     (["figure1", "--span", "1", "--out", "fig.csv"], 2, "grid span must exceed 1"),
+    # 2/(m+M) rounds to 2/M: the step grid is refused, not a step the user never passed
+    (["figure1", "--m", "1", "--M", "1e16", "--eps", "0.5", "--p-values", "1", "--out", "fig.csv"], 2,
+     "M/m = 1e+16 is too large for a step grid"),
     (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--seed", str(2**62)], 2, "seed must be"),
     (["sample", "--target", "quad.json", "--h", "0.1", "--K", "0", "--oracle", "subsampled"], 2,
      "target has no finite-sum structure"),

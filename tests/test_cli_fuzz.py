@@ -27,7 +27,7 @@ BASE = {
     "validate": {"--seed": "3"},
 }
 # values a valid run would take too long or too much memory for
-TOO_BIG = {("sample", "--K"), ("sample", "--replicas")}
+TOO_BIG = {("sample", "--K")}
 
 QUADRATIC = {"type": "quadratic", "mean": [1.0, -1.0], "precision": [[2.0, 0.5], [0.5, 1.0]]}
 LOGISTIC = {"type": "logistic", "X": [[0.5, -1.0], [1.0, 0.2], [-0.3, 0.8], [0.1, 0.1]],

@@ -14,6 +14,7 @@ from langevin_lab.bounds import (
     lmc_terms_small_step,
     lmc_value_small_step,
 )
+from langevin_lab import planner
 from langevin_lab.planner import (
     CurvePoint,
     _minimal_k,
@@ -43,6 +44,12 @@ class TestDefaultGrid:
             default_h_grid(4.0, 5.0, size=1)
         with pytest.raises(ValueError, match="span"):
             default_h_grid(4.0, 5.0, span=1.0)
+
+    def test_refuses_a_ratio_where_the_boundary_step_rounds_to_2_over_M(self):
+        # 1 + 1e16 rounds to 1e16, so the grid's top step would be 2/M, outside both regimes
+        with pytest.raises(ValueError, match=r"M/m = 1e\+16 is too large for a step grid"):
+            default_h_grid(1.0, 1e16)
+        assert default_h_grid(1.0, 1e15, size=2)[-1] < 2.0 / 1e15
 
 
 class TestPlanForEpsilon:
@@ -187,13 +194,16 @@ class TestMinimalK:
         assert abs(coarse - fine) <= 1
 
 
-def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap):
-    """The two-stage search by bisection on the feasibility predicate (reference)."""
+def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap, probes=1):
+    """The two-stage search by bisection on the feasibility predicate (reference).
+
+    Each round tests probes evenly spaced counts strictly inside the bracket in one evaluation.
+    """
 
     def smallest(g, cap):
         def feasible(K):
             with np.errstate(under="ignore"):
-                return bool((value(m, M, g, float(K), p, w2_init) <= epsilon).any())
+                return (value(m, M, g, np.asarray(K, dtype=float)[..., None], p, w2_init) <= epsilon).any(axis=-1)
 
         if not feasible(cap):
             return None
@@ -201,12 +211,11 @@ def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap):
             return 0
         lo, hi = 0, cap
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+            mids = np.unique(lo + (hi - lo) * np.arange(1, probes + 1) // (probes + 1))
+            ok = feasible(mids)
+            i = int(np.argmax(ok)) if ok.any() else mids.size
+            lo, hi = (mids[i - 1] if i else lo), (mids[i] if i < mids.size else hi)
+        return int(hi)
 
     k1 = smallest(grid, k_cap)
     if k1 is None:
@@ -325,11 +334,37 @@ def test_baseline_count_refuses_a_w2_init_whose_square_overflows():
 
 
 @pytest.mark.filterwarnings("error")
-def test_lmc_count_where_the_closed_form_seed_overflows():
-    # coef / slack overflows to inf in the seed, quietly; K is still confirmed on the bound
+def test_lmc_count_where_the_closed_form_seed_overflows(monkeypatch):
+    # coef / slack overflows here; the seed is log(coef) - log(slack), so the search starts near K
+    # instead of bisecting down from k_cap (57 bound evaluations with the seed at inf)
     m, M, p, w2, eps = 1.0, 2.0, 1, 1e308, 0.5
     want = _bisection_minimal_k(lmc_value_small_step, m, M, p, w2, eps, default_h_grid(m, M), 10**12)
+    calls = []
+    monkeypatch.setattr(planner, "lmc_value_small_step", lambda *a: calls.append(a) or lmc_value_small_step(*a))
     assert minimal_k_lmc(m, M, p, w2, eps) == want == 37702
+    assert len(calls) == 2
+
+
+def test_seeded_counts_equal_bisection_over_a_fixed_input_set():
+    # every fourth input has w2_init near the float limit and a slack below 1, so coef / slack overflows
+    rng, k_cap = np.random.default_rng(20), 10**6
+    for i in range(1000):
+        m = rng.uniform(0.05, 8.0)
+        M, p = m * rng.uniform(1.0, 30.0), int(rng.integers(1, 5000))
+        w2 = rng.uniform(1e307, 1.79e308) if i % 4 == 0 else 10.0 ** rng.uniform(-3.0, 300.0)
+        hi = 2.0 / (m + M)
+        grid = np.geomspace(hi / 10.0 ** rng.uniform(0.5, 9.0), hi, int(rng.integers(2, 24)))
+        floor = lmc_terms_small_step(m, M, hi, p, w2)[2]
+        eps = floor + rng.uniform(1e-3, 0.5) if i % 4 == 0 else floor * 10.0 ** rng.uniform(-0.5, 1.0)
+        try:
+            want = _bisection_minimal_k(lmc_value_small_step, m, M, p, w2, eps, grid, k_cap, probes=63)
+        except UnreachablePrecisionError:
+            want = None
+        try:
+            got = minimal_k_lmc(m, M, p, w2, eps, h_grid=grid, k_cap=k_cap)
+        except UnreachablePrecisionError:
+            got = None
+        assert got == want, (m, M, p, w2, eps, grid.size)
 
 
 def test_plan_names_the_dimension_when_it_makes_14_m2_p_overflow():

@@ -663,5 +663,5 @@ class TestCsvReplacement:
         assert sorted(tmp_path.iterdir()) == [link, real]
 
     def test_non_finite_initial_state_is_rejected(self, gauss2):
-        with pytest.raises(ValueError, match="initial state must be finite"):
+        with pytest.raises(ValueError, match=r"initial state\[1\] must be finite, got nan"):
             run_lmc(gauss2, small_config(), np.array([0.0, np.nan]))

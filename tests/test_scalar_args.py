@@ -25,6 +25,7 @@ from langevin_lab import (
     final_states,
     init_w2_from_f,
     init_w2_from_mean,
+    lmc_bound,
     lmc_step,
     logistic_target,
     minimal_k_lmc,
@@ -33,9 +34,11 @@ from langevin_lab import (
     plan_for_epsilon,
     quadratic_target,
     run_tempered_lmc,
+    target_from_dict,
     temper,
 )
 from langevin_lab.cli import main
+from langevin_lab.parallel import ENV_THREADS, thread_cap
 from langevin_lab.validation import (
     check_init_bound_ordering,
     check_lmc_bound_validity,
@@ -64,6 +67,10 @@ def lmc_validity(dims_entry, **kwargs):
     return check_lmc_bound_validity(dims=(1, dims_entry), **kwargs)
 
 
+def typed_target(type, **fields):
+    return target_from_dict({"type": type, **fields})
+
+
 # entry point, valid keyword arguments, and each scalar argument to fuzz
 # with the word an error about it must contain
 ENTRIES = {
@@ -73,8 +80,11 @@ ENTRIES = {
                           dict(dist2_to_mean="dist2_to_mean", p="p", m="m")),
     "init_w2_from_f": (init_w2_from_f, dict(f_at_theta0=2.0, p=3, m=1.0, f_lower_bound=0.5),
                        dict(f_at_theta0="f_at_theta0", p="p", m="m", f_lower_bound="f_lower_bound")),
-    "GradientOracle": (GradientOracle, dict(mode="subsampled", batch=2),
-                       dict(batch="batch")),
+    "GradientOracle": (GradientOracle, dict(mode="subsampled", batch=2, noise="rademacher"),
+                       dict(batch="batch", mode="mode", noise="noise")),
+    "lmc_bound": (lmc_bound, dict(inputs=BoundInputs(m=1.0, M=2.0, h=0.1, K=10, p=3, w2_init=1.0), regime="small_step"),
+                  dict(regime="regime")),
+    "target_from_dict": (typed_target, dict(type="quadratic", mean=[0.5], precision=[[2.0]]), dict(type="type")),
     "GradientOracle(gaussian)": (GradientOracle, dict(mode="gaussian", sigma=0.5), dict(sigma="sigma")),
     "LmcConfig": (LmcConfig, dict(h=0.1, K=10, seed=3), dict(h="h", K="K", seed="seed")),
     "lmc_step": (lmc_step, dict(state=np.array([0.3, -0.7]), target=QUAD, h=0.1, noise=np.array([1.0, 0.0])),
@@ -166,7 +176,8 @@ def test_scalar_arguments_return_finite_values_or_name_the_argument(case):
 @pytest.mark.parametrize("call, message", [
     (lambda: BoundInputs(m=1.0, M=2.0, h=0.1, K=2.7, p=1, w2_init=1.0), "iteration count K must be an integer >= 0"),
     (lambda: LmcConfig(h=0.1, K=2.7), "iteration count K must be an integer >= 0, got 2.7"),
-    (lambda: final_states(QUAD, LmcConfig(h=0.1, K=2), np.zeros(2), replicas=2.5), "replicas must be an integer >= 1"),
+    (lambda: final_states(QUAD, LmcConfig(h=0.1, K=2), np.zeros(2), replicas=2.5),
+     f"replicas must be an integer in [1, {np.iinfo(np.intp).max // 16 + 1}), got 2.5"),
     (lambda: plan_for_epsilon(1.0, 2.0, 2.5, 1.0, 0.5), "dimension p must be an integer >= 1, got 2.5"),
     (lambda: BoundInputs(m=1.0, M=2.0, h=0.1, K=math.inf, p=1, w2_init=1.0), "iteration count K must be an integer"),
     (lambda: GradientOracle(mode="subsampled", batch=math.inf), "batch must be an integer >= 1, got inf"),
@@ -193,6 +204,41 @@ def test_inputs_that_were_mishandled_now_raise_naming_the_argument(call, message
     with pytest.raises(ValueError) as exc:
         call()
     assert message in str(exc.value)
+
+
+# each string choice names every option it takes
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradientOracle(mode="x"), "oracle mode must be 'exact', 'gaussian' or 'subsampled', got 'x'"),
+    (lambda: GradientOracle(mode="gaussian", noise="x"), "noise law must be 'gaussian' or 'rademacher', got 'x'"),
+    (lambda: lmc_bound(BoundInputs(m=1.0, M=2.0, h=0.1, K=1, p=1, w2_init=1.0), regime="x"),
+     "regime must be 'small_step' or 'large_step', got 'x'"),
+    (lambda: target_from_dict({"type": "x"}), "target type must be 'quadratic' or 'logistic', got 'x'"),
+    (lambda: target_from_dict({}), "target type must be 'quadratic' or 'logistic', got None"),
+    (lambda: GradientOracle(mode=np.array(["exact", "gaussian"])), "oracle mode must be 'exact', 'gaussian' or"),
+])
+def test_choices_name_the_argument_and_its_options(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("0", "LANGEVIN_LAB_THREADS must be an integer >= 1, got 0"),
+    ("-1", "LANGEVIN_LAB_THREADS must be an integer >= 1, got -1"),
+    ("abc", "LANGEVIN_LAB_THREADS must be a real number, got 'abc'"),
+    ("2.5", "LANGEVIN_LAB_THREADS must be an integer >= 1, got 2.5"),
+])
+def test_thread_variable_is_a_count(raw, message, monkeypatch):
+    monkeypatch.setenv(ENV_THREADS, raw)
+    with pytest.raises(ValueError) as exc:
+        thread_cap()
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("raw", ["2", "2.0"])
+def test_thread_variable_takes_integral_values(raw, monkeypatch):
+    monkeypatch.setenv(ENV_THREADS, raw)
+    assert thread_cap() == 2
 
 
 def test_counts_take_integral_floats_and_numpy_integers():
