@@ -232,18 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--K", required=True, type=_flag(count), help="iteration count")
     p_sample.add_argument("--seed", type=_flag(count), default=0, help="stream seed")
     p_sample.add_argument("--sigma", type=_flag(nonnegative), default=0.0, help="gradient noise scale")
-    p_sample.add_argument(
-        "--oracle",
-        choices=("exact", "gaussian", "subsampled"),
-        default="exact",
-        help="gradient oracle",
-    )
-    p_sample.add_argument(
-        "--noise",
-        choices=("gaussian", "rademacher"),
-        default="gaussian",
-        help="law of the additive gradient noise",
-    )
+    # GradientOracle checks the oracle and noise names, and the error lists the options
+    p_sample.add_argument("--oracle", default="exact", help="gradient oracle: exact, gaussian or subsampled")
+    p_sample.add_argument("--noise", default="gaussian", help="law of the gradient noise: gaussian or rademacher")
     p_sample.add_argument("--batch", type=_flag(count, 1), default=1, help="subsample size")
     p_sample.add_argument("--replicas", type=_flag(count, 1), default=1, help="independent chains")
     p_sample.add_argument("--init", type=_list_of(_flag(finite)), default=None, help="comma-separated start")

@@ -424,10 +424,13 @@ def final_states(
     replica's own stream.  A replica whose state turns non-finite raises
     FloatingPointError.
     """
-    replicas = count("replicas", replicas, 1, np.iinfo(np.intp).max // (8 * target.dim) + 1)  # np.empty's limit
+    replicas = count("replicas", replicas, 1)
     _check_step_size(config.h, target)
     seed = config.seed
-    out = np.empty((replicas, target.dim))
+    try:
+        out = np.empty((replicas, target.dim))
+    except (ValueError, MemoryError) as err:  # beyond numpy's size limit, or the address space
+        raise ValueError(f"replicas={replicas} is too many to hold: {err}") from None
     chunk = _chunk_rows(config.K, target.dim)
 
     def run_block(r0: int) -> None:

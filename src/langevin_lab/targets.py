@@ -214,6 +214,12 @@ def logistic_target(X: np.ndarray, y: np.ndarray, ridge: float) -> TargetPotenti
     return TargetPotential(dim=p, m=m, M=M, eval=_eval, grad=_grad, parts=parts)
 
 
+def _lifted(fn: Callable, signature: str) -> Callable:
+    """fn of one (p,) point over any leading batch axes; a single point skips np.vectorize's setup."""
+    batched = np.vectorize(fn, otypes=[float], signature=signature)
+    return lambda theta: fn(theta) if np.ndim(theta) == 1 else batched(theta)
+
+
 def custom_target(
     dim: int,
     m: float,
@@ -228,9 +234,10 @@ def custom_target(
     Pass vectorized=False for callables that only handle a single (p,)
     point; they are then lifted over the leading batch axis.
     """
-    if not vectorized:
-        eval = np.vectorize(eval, otypes=[float], signature="(p)->()")
-        grad = np.vectorize(grad, otypes=[float], signature="(p)->(p)")
+    if not vectorized:  # each point reaches the callables as a float copy; results are taken as floats
+        f0, g0 = eval, grad
+        eval = _lifted(lambda x: float(f0(np.array(x, dtype=float))), "(p)->()")
+        grad = _lifted(lambda x: np.asarray(g0(np.array(x, dtype=float)), dtype=float), "(p)->(p)")
     return TargetPotential(dim=dim, m=m, M=M, eval=eval, grad=grad)
 
 

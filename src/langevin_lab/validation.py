@@ -112,28 +112,19 @@ def check_lmc_bound_validity(
     return CheckResult("lmc bound dominates exact W2", not first_bad, cells, worst, first_bad)
 
 
-def _bound_inputs(rng: np.random.Generator, trials: int, k_end: int, step: bool) -> tuple:
-    """(m, M, h, K, p, w2) drawn trial by trial in that order, with K < k_end; h is drawn in [0, 2/M)
-    (a zero draw becomes 1/(m+M)) if step, else it is the regime boundary 2/(m+M) and takes no draw."""
-    m, M, h, w2 = np.empty((4, trials))
+def check_regime_continuity(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
+    """The two branches of the exact-gradient bound agree at h = 2/(m+M)."""
+    rng = _rng(seed, 2)
+    trials, rtol = count("trials", trials), finite("rtol", rtol)
+    m, M, w2 = np.empty((3, trials))
     K, p = np.empty((2, trials), dtype=np.int64)
     for t in range(trials):
         m[t] = rng.uniform(0.1, 5.0)
         M[t] = m[t] * rng.uniform(1.0, 20.0)
-        if step:
-            h[t] = rng.uniform(0.0, 1.0) * (2.0 / M[t])
-            if h[t] <= 0.0:
-                h[t] = 1.0 / (m[t] + M[t])
-        K[t] = rng.integers(0, k_end)
+        K[t] = rng.integers(0, 1000)
         p[t] = rng.integers(1, 100)
         w2[t] = rng.uniform(0.0, 50.0)
-    return m, M, h if step else 2.0 / (m + M), K, p, w2
-
-
-def check_regime_continuity(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
-    """The two branches of the exact-gradient bound agree at h = 2/(m+M)."""
-    rng, trials, rtol = _rng(seed, 2), count("trials", trials), finite("rtol", rtol)
-    m, M, h, K, p, w2 = _bound_inputs(rng, trials, 1000, step=False)
+    h = 2.0 / (m + M)
     a, b = (lmc_core(m, M, h, K, p, w2, regime)[0] for regime in (SMALL_STEP, LARGE_STEP))
     rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)).clip(1e-300)
     first_bad = ""
@@ -153,7 +144,19 @@ def check_noise_dominance(seed: int = 0, trials: int = 1000) -> CheckResult:
     The noisy analysis pays for generality, so its zero-noise value must
     sit at or above the exact-gradient bound wherever both are stated.
     """
-    m, M, h, K, p, w2 = _bound_inputs(_rng(seed, 3), count("trials", trials), 2000, step=True)
+    rng = _rng(seed, 3)
+    trials = count("trials", trials)
+    m, M, h, w2 = np.empty((4, trials))
+    K, p = np.empty((2, trials), dtype=np.int64)
+    for t in range(trials):
+        m[t] = rng.uniform(0.1, 5.0)
+        M[t] = m[t] * rng.uniform(1.0, 20.0)
+        h[t] = rng.uniform(0.0, 1.0) * (2.0 / M[t])
+        if h[t] <= 0.0:
+            h[t] = 1.0 / (m[t] + M[t])
+        K[t] = rng.integers(0, 2000)
+        p[t] = rng.integers(1, 100)
+        w2[t] = rng.uniform(0.0, 50.0)
     keep = h < 2.0 / M
     m, M, h, K, p, w2 = (x[keep] for x in (m, M, h, K, p, w2))
     exact = lmc_core(m, M, h, K, p, w2)[0]

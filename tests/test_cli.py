@@ -261,6 +261,13 @@ EXIT_RULE = [
     (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--seed", str(2**62)], 2, "seed must be"),
     (["sample", "--target", "quad.json", "--h", "0.1", "--K", "0", "--oracle", "subsampled"], 2,
      "target has no finite-sum structure"),
+    # the oracle checks its own string choices, so argparse does not restate them
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--oracle", "x"], 2,
+     "oracle mode must be 'exact', 'gaussian' or 'subsampled', got 'x'"),
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--oracle", "gaussian", "--noise", "x"], 2,
+     "noise law must be 'gaussian' or 'rademacher', got 'x'"),
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--replicas", "99999999999999999999"], 2,
+     "replicas=99999999999999999999 is too many to hold: Maximum allowed dimension exceeded"),
     (["figure1", "--eps", "1e-9", "--p-values", "10", "--grid-size", "100", "--out", "fig.csv"], 1,
      "epsilon=1e-09 is unreachable"),
     (["sample", "--target", "stiff.json", "--h", "0.5", "--K", "2000"], 1, "chain diverged"),

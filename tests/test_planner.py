@@ -194,16 +194,13 @@ class TestMinimalK:
         assert abs(coarse - fine) <= 1
 
 
-def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap, probes=1):
-    """The two-stage search by bisection on the feasibility predicate (reference).
-
-    Each round tests probes evenly spaced counts strictly inside the bracket in one evaluation.
-    """
+def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap):
+    """The two-stage search by bisection on the feasibility predicate (reference)."""
 
     def smallest(g, cap):
         def feasible(K):
             with np.errstate(under="ignore"):
-                return (value(m, M, g, np.asarray(K, dtype=float)[..., None], p, w2_init) <= epsilon).any(axis=-1)
+                return bool((value(m, M, g, float(K), p, w2_init) <= epsilon).any())
 
         if not feasible(cap):
             return None
@@ -211,11 +208,12 @@ def _bisection_minimal_k(value, m, M, p, w2_init, epsilon, grid, k_cap, probes=1
             return 0
         lo, hi = 0, cap
         while hi - lo > 1:
-            mids = np.unique(lo + (hi - lo) * np.arange(1, probes + 1) // (probes + 1))
-            ok = feasible(mids)
-            i = int(np.argmax(ok)) if ok.any() else mids.size
-            lo, hi = (mids[i - 1] if i else lo), (mids[i] if i < mids.size else hi)
-        return int(hi)
+            mid = (lo + hi) // 2
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     k1 = smallest(grid, k_cap)
     if k1 is None:
@@ -357,7 +355,7 @@ def test_seeded_counts_equal_bisection_over_a_fixed_input_set():
         floor = lmc_terms_small_step(m, M, hi, p, w2)[2]
         eps = floor + rng.uniform(1e-3, 0.5) if i % 4 == 0 else floor * 10.0 ** rng.uniform(-0.5, 1.0)
         try:
-            want = _bisection_minimal_k(lmc_value_small_step, m, M, p, w2, eps, grid, k_cap, probes=63)
+            want = _bisection_minimal_k(lmc_value_small_step, m, M, p, w2, eps, grid, k_cap)
         except UnreachablePrecisionError:
             want = None
         try:

@@ -176,8 +176,13 @@ def test_scalar_arguments_return_finite_values_or_name_the_argument(case):
 @pytest.mark.parametrize("call, message", [
     (lambda: BoundInputs(m=1.0, M=2.0, h=0.1, K=2.7, p=1, w2_init=1.0), "iteration count K must be an integer >= 0"),
     (lambda: LmcConfig(h=0.1, K=2.7), "iteration count K must be an integer >= 0, got 2.7"),
-    (lambda: final_states(QUAD, LmcConfig(h=0.1, K=2), np.zeros(2), replicas=2.5),
-     f"replicas must be an integer in [1, {np.iinfo(np.intp).max // 16 + 1}), got 2.5"),
+    (lambda: final_states(QUAD, LmcConfig(h=0.1, K=2), np.zeros(2), replicas=2.5), "replicas must be an integer >= 1"),
+    # (replicas, 2) outputs numpy cannot size, or the address space cannot hold: np.empty
+    # refuses both before any memory is touched
+    (lambda: final_states(QUAD, LmcConfig(h=0.1, K=2), np.zeros(2), replicas=99999999999999999999),
+     "replicas=99999999999999999999 is too many to hold: Maximum allowed dimension exceeded"),
+    (lambda: final_states(QUAD, LmcConfig(h=0.1, K=2), np.zeros(2), replicas=576460752303423487),
+     "replicas=576460752303423487 is too many to hold: Unable to allocate"),
     (lambda: plan_for_epsilon(1.0, 2.0, 2.5, 1.0, 0.5), "dimension p must be an integer >= 1, got 2.5"),
     (lambda: BoundInputs(m=1.0, M=2.0, h=0.1, K=math.inf, p=1, w2_init=1.0), "iteration count K must be an integer"),
     (lambda: GradientOracle(mode="subsampled", batch=math.inf), "batch must be an integer >= 1, got inf"),

@@ -156,18 +156,24 @@ class TestLogistic:
 
 
 class TestCustomAndTemper:
-    def test_custom_target_lifts_scalar_callables(self):
-        t = custom_target(
-            2,
-            1.0,
-            1.0,
-            eval=lambda x: 0.5 * float(x @ x),
-            grad=lambda x: np.asarray(x, dtype=float),
-            vectorized=False,
-        )
-        xs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(t.eval(xs), [2.5, 12.5])
-        np.testing.assert_allclose(t.grad(xs), xs)
+    @pytest.mark.parametrize("grad", [
+        lambda x: np.asarray(x, dtype=float),
+        lambda x: [x[0], x[1]],
+        lambda x: (x[0], x[1]),
+        lambda x: np.multiply(x, 1.0, out=x),  # edits its argument in place
+    ])
+    def test_custom_target_lifts_scalar_callables(self, grad):
+        def value(x):
+            assert x.dtype == float  # an integer batch reaches the callables as floats
+            return 0.5 * float(x @ x)
+
+        t = custom_target(2, 1.0, 1.0, eval=value, grad=grad, vectorized=False)
+        for xs in (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 2], [3, 4]])):
+            np.testing.assert_allclose(t.eval(xs), [2.5, 12.5])
+            for theta in (xs, xs[0]):
+                np.testing.assert_array_equal(t.grad(theta), theta)
+                assert t.grad(theta).dtype == float
+            np.testing.assert_array_equal(xs, [[1, 2], [3, 4]])
 
     def test_rejects_bad_constants(self):
         with pytest.raises(ValueError, match="0 < m <= M"):
