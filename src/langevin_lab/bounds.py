@@ -55,6 +55,8 @@ SMALL_STEP = "small_step"
 LARGE_STEP = "large_step"
 
 _BOUNDARY_AGREEMENT_RTOL = 1e-9
+# past this M/m, rounding 2 - M h alone ((1 + M/m) ulps) can exceed that agreement at the boundary
+_ILL_CONDITIONED_RATIO = 1e-9 / np.finfo(float).eps - 1.0
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,10 @@ def lmc_core(m, M, h, K, p, w2_init, regime: str | None = None) -> tuple:
         a, b = (_core(_lmc_terms, m, M, boundary, K, p, w2_init, r)[0] for r in (SMALL_STEP, LARGE_STEP))
         bad = at & (np.abs(a - b) > _BOUNDARY_AGREEMENT_RTOL * np.maximum(np.abs(a), np.abs(b)).clip(1e-300))
         if bad.any():
+            ratio = _first(np.divide(M, m), bad)
+            if ratio > _ILL_CONDITIONED_RATIO:  # the input's fault, not the formulas'
+                raise ValueError(f"M/m = {ratio:g} is too ill-conditioned for the boundary step h = 2/(m+M): "
+                                 f"rounding alone parts the regime branches there")
             raise RuntimeError(
                 f"regime branches disagree at the boundary step h={_first(boundary, bad)}: "
                 f"{_first(a, bad)!r} versus {_first(b, bad)!r}"

@@ -38,7 +38,6 @@ from .planner import (
     figure1_curves,
     plan_for_epsilon,
 )
-from ._scalars import count, finite, nonnegative, positive
 from .sampler import GradientOracle, LmcConfig, final_states, write_trajectory, _replacing, _write_theta_csv
 # run_lmc, run_nlmc and trajectory_to_csv are unused here but stay module
 # attributes: perfbench/tracing.py patches them by name, so without them
@@ -49,32 +48,13 @@ from .targets import load_target
 from .validation import run_all_checks
 
 
-def _flag(rule, *bounds):
-    """Flag type applying the _scalars rule with these bounds; argparse names the flag.
-
-    A count reads its text with int() first, so "1e308" is no count and a
-    seed near 2**64 stays exact.
-    """
-
-    def convert(text: str):
-        try:
-            value = int(text) if rule is count else text
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-        try:
-            return rule("", value, *bounds)
-        except ValueError as exc:  # "<name> must be ..., got ..." with an empty name
-            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
-
-    return convert
-
-
 def _list_of(convert):
     """Comma-separated flag type applying convert to each part."""
 
     def convert_list(text: str) -> list:
         return [convert(part) for part in text.split(",") if part != ""]
 
+    convert_list.__name__ = f"comma-separated {convert.__name__}"  # argparse's "invalid ... value"
     return convert_list
 
 
@@ -228,56 +208,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="run a chain and export the trajectory or finals")
     p_sample.add_argument("--target", required=True, help="path to a JSON target description")
-    p_sample.add_argument("--h", required=True, type=_flag(positive), help="step size")
-    p_sample.add_argument("--K", required=True, type=_flag(count), help="iteration count")
-    p_sample.add_argument("--seed", type=_flag(count), default=0, help="stream seed")
-    p_sample.add_argument("--sigma", type=_flag(nonnegative), default=0.0, help="gradient noise scale")
+    p_sample.add_argument("--h", required=True, type=float, help="step size")
+    p_sample.add_argument("--K", required=True, type=int, help="iteration count")
+    p_sample.add_argument("--seed", type=int, default=0, help="stream seed")
+    p_sample.add_argument("--sigma", type=float, default=0.0, help="gradient noise scale")
     # GradientOracle checks the oracle and noise names, and the error lists the options
     p_sample.add_argument("--oracle", default="exact", help="gradient oracle: exact, gaussian or subsampled")
     p_sample.add_argument("--noise", default="gaussian", help="law of the gradient noise: gaussian or rademacher")
-    p_sample.add_argument("--batch", type=_flag(count, 1), default=1, help="subsample size")
-    p_sample.add_argument("--replicas", type=_flag(count, 1), default=1, help="independent chains")
-    p_sample.add_argument("--init", type=_list_of(_flag(finite)), default=None, help="comma-separated start")
+    p_sample.add_argument("--batch", type=int, default=1, help="subsample size")
+    p_sample.add_argument("--replicas", type=int, default=1, help="independent chains")
+    p_sample.add_argument("--init", type=_list_of(float), default=None, help="comma-separated start")
     p_sample.add_argument("--out", default="sample.csv", help="output CSV path")
     p_sample.set_defaults(func=cmd_sample)
 
     p_bound = sub.add_parser("bound", help="evaluate a closed-form W2 bound")
     p_bound.add_argument("--kind", choices=("lmc", "noisy", "baseline"), default="lmc")
-    p_bound.add_argument("--m", required=True, type=_flag(positive), help="strong convexity")
-    p_bound.add_argument("--M", required=True, type=_flag(positive), help="gradient Lipschitz")
-    p_bound.add_argument("--h", required=True, type=_flag(positive), help="step size")
-    p_bound.add_argument("--K", required=True, type=_flag(count), help="iteration count")
-    p_bound.add_argument("--p", required=True, type=_flag(count, 1), help="dimension")
-    p_bound.add_argument("--w2init", required=True, type=_flag(nonnegative), help="initial W2")
-    p_bound.add_argument("--sigma", type=_flag(nonnegative), default=0.0, help="gradient noise scale")
+    p_bound.add_argument("--m", required=True, type=float, help="strong convexity")
+    p_bound.add_argument("--M", required=True, type=float, help="gradient Lipschitz")
+    p_bound.add_argument("--h", required=True, type=float, help="step size")
+    p_bound.add_argument("--K", required=True, type=int, help="iteration count")
+    p_bound.add_argument("--p", required=True, type=int, help="dimension")
+    p_bound.add_argument("--w2init", required=True, type=float, help="initial W2")
+    p_bound.add_argument("--sigma", type=float, default=0.0, help="gradient noise scale")
     p_bound.add_argument("--out", default=None, help="optional JSON output path")
     p_bound.set_defaults(func=cmd_bound)
 
     p_plan = sub.add_parser("plan", help="choose (h, K) for a requested precision")
-    p_plan.add_argument("--m", required=True, type=_flag(positive), help="strong convexity")
-    p_plan.add_argument("--M", required=True, type=_flag(positive), help="gradient Lipschitz")
-    p_plan.add_argument("--p", required=True, type=_flag(count, 1), help="dimension")
-    p_plan.add_argument("--eps", required=True, type=_flag(positive), help="target W2 precision")
-    p_plan.add_argument("--w2init", required=True, type=_flag(nonnegative), help="initial W2")
+    p_plan.add_argument("--m", required=True, type=float, help="strong convexity")
+    p_plan.add_argument("--M", required=True, type=float, help="gradient Lipschitz")
+    p_plan.add_argument("--p", required=True, type=int, help="dimension")
+    p_plan.add_argument("--eps", required=True, type=float, help="target W2 precision")
+    p_plan.add_argument("--w2init", required=True, type=float, help="initial W2")
     p_plan.add_argument("--out", default=None, help="optional JSON output path")
     p_plan.set_defaults(func=cmd_plan)
 
     p_fig = sub.add_parser("figure1", help="iteration-count comparison curves")
-    p_fig.add_argument("--m", type=_flag(positive), default=4.0, help="strong convexity")
-    p_fig.add_argument("--M", type=_flag(positive), default=5.0, help="gradient Lipschitz")
-    p_fig.add_argument("--eps", type=_list_of(_flag(positive)), default=(0.1, 0.3),
+    p_fig.add_argument("--m", type=float, default=4.0, help="strong convexity")
+    p_fig.add_argument("--M", type=float, default=5.0, help="gradient Lipschitz")
+    p_fig.add_argument("--eps", type=_list_of(float), default=(0.1, 0.3),
                        help="comma-separated precisions")
-    p_fig.add_argument("--p-values", type=_list_of(_flag(count, 1)), default=(10, 100, 1000, 10000),
+    p_fig.add_argument("--p-values", type=_list_of(int), default=(10, 100, 1000, 10000),
                        help="comma-separated dimensions")
-    p_fig.add_argument("--grid-size", type=_flag(count, 1), default=DEFAULT_GRID_SIZE,
+    p_fig.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
                        help="step-grid resolution")
-    p_fig.add_argument("--span", type=_flag(positive), default=DEFAULT_GRID_SPAN,
+    p_fig.add_argument("--span", type=float, default=DEFAULT_GRID_SPAN,
                        help="ratio between largest and smallest grid step")
     p_fig.add_argument("--out", default="figure1.csv", help="output CSV path")
     p_fig.set_defaults(func=cmd_figure1)
 
     p_val = sub.add_parser("validate", help="bound-versus-oracle invariant sweep")
-    p_val.add_argument("--seed", type=_flag(count, 0, 2**64), default=0, help="sweep seed")
+    p_val.add_argument("--seed", type=int, default=0, help="sweep seed")
     p_val.set_defaults(func=cmd_validate)
 
     return parser

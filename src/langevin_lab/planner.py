@@ -113,7 +113,12 @@ def default_h_grid(
     hi = 2.0 / (m + M)
     if not hi < 2.0 / M:  # the top step would be 2/M, where no bound is stated
         raise ValueError(f"M/m = {M / m:g} is too large for a step grid: 2/(m+M) rounds to 2/M (m={m:g}, M={M:g})")
-    return np.geomspace(hi / span, hi, size)
+    if not hi / span > 0.0:
+        raise ValueError(f"the smallest grid step 2/((m+M) span) underflows to 0 (m={m:g}, M={M:g}, span={span:g})")
+    try:
+        return np.geomspace(hi / span, hi, size)
+    except (ValueError, MemoryError) as err:  # beyond numpy's size limit, or the address space
+        raise ValueError(f"grid size={size} is too large to hold: {err}") from None
 
 
 def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float) -> Plan:
@@ -196,9 +201,9 @@ def _minimal_k(
     def seed(g: np.ndarray) -> float:
         """The logarithm's smallest K over g; after rounding it may be a step off."""
         coef, rate, floor = terms(m, M, g, p, w2_init)
-        slack = epsilon**power - floor
-        # log(coef) - log(slack) stays finite where coef / slack overflows
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # log(coef) - log(slack) stays finite where coef / slack overflows, and epsilon**power saturates to inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            slack = np.power(epsilon, power) - floor
             steps = np.maximum(np.ceil((np.log(coef) - np.log(slack)) / -np.log(np.maximum(rate, 0.0))), 1.0)
             k_h = np.where(coef <= slack, 0.0, np.where((slack > 0.0) & (rate < 1.0), steps, np.inf))
         return float(k_h.min())
@@ -278,7 +283,7 @@ def figure1_curves(
     eps_list = [positive("epsilon", e) for e in epsilons]
     p_list = [count("dimension p", p, 1) for p in p_values]
     if not eps_list or not p_list:
-        raise ValueError("epsilons and p_values must be nonempty")
+        raise ValueError(f"the {'dimension p' if eps_list else 'epsilon'} list must be nonempty")
     grid = default_h_grid(m, M, size=grid_size, span=span)
 
     def solve(point: tuple[float, int]) -> CurvePoint:

@@ -62,7 +62,6 @@ ZETA_STREAM = 1
 INIT_STREAM = 2
 
 _CHANNELS_PER_REPLICA = 4
-_MAX_SEED = 2**64 // _CHANNELS_PER_REPLICA
 # float64 values each replica row draws per re-key: a noise block is
 # _NOISE_BUDGET // p steps, so buffers depend on neither K nor spare memory
 _NOISE_BUDGET = 4096
@@ -174,7 +173,7 @@ class LmcConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "h", positive("step size h", self.h))
         object.__setattr__(self, "K", count("iteration count K", self.K))
-        object.__setattr__(self, "seed", count("seed", self.seed, below=_MAX_SEED))
+        object.__setattr__(self, "seed", count("seed", self.seed, below=2**64))
 
 
 @dataclass(frozen=True)

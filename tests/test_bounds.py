@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,13 @@ class TestCoreChecks:
             lmc_core(m, M, at, K, 2, 1.0)
         with pytest.raises(RuntimeError, match="disagree"):
             lmc_bound(BoundInputs(m=m, M=M, h=2.0 / (m + M), K=3, p=2, w2_init=1.0), regime=LARGE_STEP)
+
+    @pytest.mark.parametrize("M", [1e9, 1e15])
+    def test_ill_conditioned_boundary_step_names_the_curvature_ratio(self, M):
+        # rounding 2 - M h at the float step 2/(1+M) alone parts the branches by more than 1e-9
+        with pytest.raises(ValueError, match=re.escape(f"M/m = {M:g} is too ill-conditioned for the boundary step")):
+            lmc_bound(BoundInputs(m=1.0, M=M, h=2.0 / (1.0 + M), K=10, p=1, w2_init=1.0))
+        assert lmc_bound(BoundInputs(m=1.0, M=M, h=1.0 / (1.0 + M), K=10, p=1, w2_init=1.0)).regime == SMALL_STEP
 
 
 # the noisy bias sqrt(a) sqrt(sigma^2 + b) read inf where a, b or sigma^2 overflowed but the bias does not

@@ -47,11 +47,15 @@ def read_manifest(out_path):
 
 class TestExitCodes:
     def test_unparsable_flag_exits_two(self, capsys):
+        # a value the library refuses exits 2 with its message; text argparse cannot read exits 2 there
+        assert main(["bound", "--kind", "lmc", "--m", "4", "--M", "5",
+                     "--h", "-1", "--K", "1", "--p", "1", "--w2init", "1"]) == 2
+        assert "error: step size h must be positive and finite, got -1.0" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--kind", "lmc", "--m", "4", "--M", "5",
-                  "--h", "-1", "--K", "1", "--p", "1", "--w2init", "1"])
+                  "--h", "0.1", "--K", "1e5", "--p", "1", "--w2init", "1"])
         assert exc.value.code == 2
-        assert "--h" in capsys.readouterr().err
+        assert "argument --K: invalid int value: '1e5'" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,7 +262,16 @@ EXIT_RULE = [
     # 2/(m+M) rounds to 2/M: the step grid is refused, not a step the user never passed
     (["figure1", "--m", "1", "--M", "1e16", "--eps", "0.5", "--p-values", "1", "--out", "fig.csv"], 2,
      "M/m = 1e+16 is too large for a step grid"),
-    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--seed", str(2**62)], 2, "seed must be"),
+    # past M/m ~ 4.5e6 rounding alone can part the regime branches at the float boundary step
+    (["figure1", "--m", "1", "--M", "1e9", "--eps", "0.5", "--p-values", "1", "--out", "fig.csv"], 2,
+     "M/m = 1e+09 is too ill-conditioned for the boundary step"),
+    (["figure1", "--m", "1", "--M", "1e15", "--eps", "0.5", "--p-values", "1", "--out", "fig.csv"], 2,
+     "M/m = 1e+15 is too ill-conditioned for the boundary step"),
+    (["bound", "--m", "1", "--M", "1e9", "--h", "1.999999998e-09", "--K", "10", "--p", "1", "--w2init", "1"], 2,
+     "M/m = 1e+09 is too ill-conditioned for the boundary step"),
+    (["figure1", "--grid-size", "99999999999999999999", "--out", "fig.csv"], 2,
+     "grid size=99999999999999999999 is too large to hold"),
+    (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--seed", str(2**64)], 2, "seed must be"),
     (["sample", "--target", "quad.json", "--h", "0.1", "--K", "0", "--oracle", "subsampled"], 2,
      "target has no finite-sum structure"),
     # the oracle checks its own string choices, so argparse does not restate them
@@ -358,10 +371,8 @@ class TestValidateCommand:
         assert build_parser().parse_args(["validate", "--seed", "18446744073709551615"]).seed == 2**64 - 1
 
     def test_out_of_range_seed_exits_two_and_names_the_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--seed", "99999999999999999999999"])
-        assert exc.value.code == 2
-        assert ("argument --seed: must be an integer in [0, 18446744073709551616), "
+        assert main(["validate", "--seed", "99999999999999999999999"]) == 2
+        assert ("error: seed must be an integer in [0, 18446744073709551616), "
                 "got 99999999999999999999999") in capsys.readouterr().err
 
 

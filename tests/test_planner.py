@@ -51,6 +51,21 @@ class TestDefaultGrid:
             default_h_grid(1.0, 1e16)
         assert default_h_grid(1.0, 1e15, size=2)[-1] < 2.0 / 1e15
 
+    def test_a_grid_too_large_to_hold_names_its_size(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"grid size=100000000000000000000 is too large to hold"):
+            default_h_grid(4.0, 5.0, size=10**20)
+
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(planner.np, "geomspace", refuse)  # as numpy fails where memory runs out
+        with pytest.raises(ValueError, match=r"grid size=1000000000000 is too large to hold: Unable to allocate"):
+            default_h_grid(4.0, 5.0, size=10**12)
+
+    def test_a_bottom_step_that_underflows_names_the_span(self):
+        with pytest.raises(ValueError, match=r"smallest grid step .* underflows to 0 \(m=1e\+20, M=1e\+20, span=1e\+308\)"):
+            default_h_grid(1e20, 1e20, span=1e308)
+
 
 class TestPlanForEpsilon:
     def test_frozen_example(self):
@@ -322,6 +337,11 @@ def test_plan_certifies_where_one_minus_mh_rounds_up(m, M, p, w2, lo, hi):
     for eps in np.geomspace(lo, hi, 400):
         plan = plan_for_epsilon(m, M, p, w2, float(eps))
         assert plan.predicted_bound <= eps
+
+
+def test_a_precision_whose_square_overflows_needs_no_iterations():
+    # epsilon**2 saturates to inf in the search's seed instead of raising OverflowError
+    assert minimal_k_baseline(4.0, 5.0, 1, 1.5, 1e308) == minimal_k_lmc(4.0, 5.0, 1, 1.5, 1e308) == 0
 
 
 def test_baseline_count_refuses_a_w2_init_whose_square_overflows():

@@ -164,7 +164,8 @@ class TestConfigs:
         with pytest.raises(ValueError, match="seed"):
             LmcConfig(h=0.1, K=1, seed=-1)
         with pytest.raises(ValueError, match="seed"):
-            LmcConfig(h=0.1, K=1, seed=2**62)
+            LmcConfig(h=0.1, K=1, seed=2**64)
+        assert LmcConfig(h=0.1, K=1, seed=2**64 - 1).seed == 2**64 - 1  # the seed is a whole key word
 
 
 class TestLmcStep:
