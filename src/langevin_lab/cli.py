@@ -83,16 +83,23 @@ def _write_manifest(anchor: Path, args: argparse.Namespace, outputs: list[Path],
     return _write_json(anchor.with_name(anchor.name + ".manifest.json"), manifest)
 
 
+def _json_text(payload: dict) -> str:
+    """payload as indented strict JSON: a non-finite float, such as an infinite bound, is null."""
+    # a float's repr reads back as the same float, so only Infinity, -Infinity and NaN change
+    strict = json.loads(json.dumps(payload), parse_constant=lambda constant: None)
+    return json.dumps(strict, indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict) -> Path:
-    """Write payload to path as indented JSON (see _replacing) and return path."""
+    """Write payload to path as _json_text (see _replacing) and return path."""
     with _replacing(path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(_json_text(payload) + "\n")
     return path
 
 
 def _emit_json(args: argparse.Namespace, payload: dict, started: float) -> int:
-    """Print payload as JSON and, with --out, also write it there with its manifest."""
-    print(json.dumps(payload, indent=2))
+    """Print payload as _json_text and, with --out, also write it there with its manifest."""
+    print(_json_text(payload))
     if args.out is not None:
         out = Path(args.out)
         _write_json(out, payload)

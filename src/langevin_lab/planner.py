@@ -142,7 +142,9 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
         culprit = f"M={M:g}" if math.isinf(14.0 * M * M) else f"dimension p={p:g}"
         raise ValueError(f"{culprit} is too large to plan for: 14 M^2 p overflows")
     if not math.isfinite(2.0 * w2_init / epsilon):
-        raise ValueError(f"w2_init={w2_init:g} is too large to plan for: 2 w2_init / epsilon overflows")
+        culprit = (f"epsilon={epsilon!r} is too small" if math.isfinite(2.0 * w2_init)
+                   else f"w2_init={w2_init:g} is too large")
+        raise ValueError(f"{culprit} to plan for: 2 w2_init / epsilon overflows")
     boundary = 2.0 / (m + M)
     h = min(h_bias, boundary)
     binding = "bias" if h < boundary else "boundary"

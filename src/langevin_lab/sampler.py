@@ -378,7 +378,8 @@ def run_tempered_lmc(target: TargetPotential, tau: float, K: int, seed: int = 0,
     Identical in law to the exact-gradient chain on the rescaled
     potential f / tau with step h = tau / M, and identical draw by draw
     under the same seed.  tau = 0 collapses to gradient descent with
-    step 1/M; the noise stream is then untouched.
+    step 1/M; the noise stream is then untouched, and a callable start
+    still draws from (seed, replica) as at tau > 0.
     """
     tau, replica = nonnegative("tau", tau), count("replica", replica)
     t0 = time.perf_counter()
@@ -386,10 +387,10 @@ def run_tempered_lmc(target: TargetPotential, tau: float, K: int, seed: int = 0,
     if tau and not (tau / M > 0.0 and 2.0 * tau / M < math.inf):
         raise ValueError(f"tau={tau} is out of range: tau / M and 2 tau / M must be positive and finite")
     config = LmcConfig(h=tau / M if tau else 1.0 / M, K=K, seed=seed)
+    theta = _resolve_initial(initial, target, seed, replica)
     if tau == 0.0:
-        iterates = gradient_descent(target, config.h, config.K, initial)
+        iterates = gradient_descent(target, config.h, config.K, theta)
     else:
-        theta = _resolve_initial(initial, target, seed, replica)
         # a = 1 with drift grad / M rounds exactly as the formula above
         drift = lambda x, z: target.grad(x) / M
         b, replicas = math.sqrt(2.0 * tau / M), range(replica, replica + 1)

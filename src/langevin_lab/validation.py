@@ -63,6 +63,15 @@ def random_spd(rng: np.random.Generator, p: int, lo: float = 1.0, hi: float = 10
     return (a + a.T) / 2.0
 
 
+def _verdict(name: str, cells: int, margin, bad, describe, worst: float = -np.inf) -> CheckResult:
+    """A check fails at its first cell, in counting order, where `bad` holds or the margin is
+    not finite (such a cell shows nothing), with detail describe(i); worst folds by fmax."""
+    margin = np.asarray(margin, dtype=float).ravel()
+    failing = np.flatnonzero(np.asarray(bad, dtype=bool).ravel() | ~np.isfinite(margin))
+    detail = describe(int(failing[0])) if failing.size else ""
+    return CheckResult(name, not failing.size, cells, float(np.fmax.reduce(margin, initial=worst)), detail)
+
+
 def check_lmc_bound_validity(
     seed: int = 0,
     dims: tuple[int, ...] = (1, 2, 5, 10),
@@ -83,9 +92,7 @@ def check_lmc_bound_validity(
     targets_per_dim, n_steps = count("targets_per_dim", targets_per_dim), count("n_steps", n_steps, 1)
     checkpoints = tuple(sorted(set(count("checkpoint", k) for k in checkpoints)))
     slack = finite("slack", slack)
-    cells = 0
-    worst = -np.inf
-    first_bad = ""
+    cases = []  # (p, steps, exact W2, bound) per target
     for p in dims:
         for _ in range(targets_per_dim):
             target = quadratic_target(rng.standard_normal(p), random_spd(rng, p))
@@ -93,23 +100,20 @@ def check_lmc_bound_validity(
             theta0 = spec.mean + 3.0 * rng.standard_normal(p)
             w2_0 = w2_init_exact(spec, theta0)
             hs = np.linspace(0.02, 0.98, n_steps) * (2.0 / target.M)
-            exact = _point_start_w2(spec, theta0, hs, checkpoints)
             bound = lmc_core(target.m, target.M, hs, np.array(checkpoints)[:, None], p, w2_0)[0]
-            margin = exact - bound
-            cells += margin.size
-            worst = float(np.fmax.reduce(margin, axis=None, initial=worst))
-            # a non-finite margin fails too: such a cell shows no domination
-            with np.errstate(over="ignore"):  # a slack near the float limit saturates to +-inf
-                tolerance = slack + slack * np.abs(bound)
-            bad = ~np.isfinite(margin) | (margin > tolerance)
-            if bad.any() and not first_bad:
-                r, c = np.argwhere(bad)[0]  # checkpoint-major, as the cells are counted
-                verdict = f"by {margin[r, c]:.3e}" if np.isfinite(margin[r, c]) else "(margin not finite)"
-                first_bad = (
-                    f"p={p} h={hs[c]:.6g} K={checkpoints[r]}: exact W2 {exact[r, c]:.12g} exceeds "
-                    f"bound {bound[r, c]:.12g} {verdict}"
-                )
-    return CheckResult("lmc bound dominates exact W2", not first_bad, cells, worst, first_bad)
+            cases.append((p, hs, _point_start_w2(spec, theta0, hs, checkpoints), bound))
+    exact, bound = (np.array([case[i] for case in cases]) for i in (2, 3))
+    margin = exact - bound
+    with np.errstate(over="ignore"):  # a slack near the float limit saturates to +-inf
+        tolerance = slack + slack * np.abs(bound)
+
+    def describe(i: int) -> str:
+        t, r, c = np.unravel_index(i, margin.shape)  # target, checkpoint, step
+        by = f"by {margin[t, r, c]:.3e}" if np.isfinite(margin[t, r, c]) else "(margin not finite)"
+        return (f"p={cases[t][0]} h={cases[t][1][c]:.6g} K={checkpoints[r]}: exact W2 {exact[t, r, c]:.12g} "
+                f"exceeds bound {bound[t, r, c]:.12g} {by}")
+
+    return _verdict("lmc bound dominates exact W2", margin.size, margin, margin > tolerance, describe)
 
 
 def check_regime_continuity(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
@@ -127,15 +131,9 @@ def check_regime_continuity(seed: int = 0, trials: int = 100, rtol: float = 1e-1
     h = 2.0 / (m + M)
     a, b = (lmc_core(m, M, h, K, p, w2, regime)[0] for regime in (SMALL_STEP, LARGE_STEP))
     rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)).clip(1e-300)
-    first_bad = ""
-    if (rel > rtol).any():
-        j = np.argmax(rel > rtol)
-        first_bad = (
-            f"m={m[j]:.6g} M={M[j]:.6g} K={K[j]} p={p[j]} w2={w2[j]:.6g}: "
-            f"branches {a[j].item()!r} vs {b[j].item()!r}"
-        )
-    worst = float(rel.max(initial=0.0))
-    return CheckResult("bound branches agree at the regime boundary", not first_bad, trials, worst, first_bad)
+    return _verdict("bound branches agree at the regime boundary", trials, rel, rel > rtol, lambda j: (
+        f"m={m[j]:.6g} M={M[j]:.6g} K={K[j]} p={p[j]} w2={w2[j]:.6g}: branches {a[j].item()!r} vs {b[j].item()!r}"
+    ), worst=0.0)
 
 
 def check_noise_dominance(seed: int = 0, trials: int = 1000) -> CheckResult:
@@ -162,15 +160,9 @@ def check_noise_dominance(seed: int = 0, trials: int = 1000) -> CheckResult:
     exact = lmc_core(m, M, h, K, p, w2)[0]
     noisy = noisy_lmc_core(m, M, h, K, p, w2, 0.0)[0]
     margin = exact - noisy
-    first_bad = ""
-    if (margin > 0.0).any():
-        j = np.argmax(margin > 0.0)
-        first_bad = (
-            f"m={m[j]:.6g} M={M[j]:.6g} h={h[j]:.6g} K={K[j]} p={p[j]} w2={w2[j]:.6g}: "
-            f"noisy bound {noisy[j].item()!r} below exact bound {exact[j].item()!r}"
-        )
-    worst = float(margin.max(initial=-np.inf))
-    return CheckResult("noisy bound dominates exact bound at sigma=0", not first_bad, trials, worst, first_bad)
+    return _verdict("noisy bound dominates exact bound at sigma=0", trials, margin, margin > 0.0, lambda j: (
+        f"m={m[j]:.6g} M={M[j]:.6g} h={h[j]:.6g} K={K[j]} p={p[j]} w2={w2[j]:.6g}: "
+        f"noisy bound {noisy[j].item()!r} below exact bound {exact[j].item()!r}"))
 
 
 def check_stationary_gradient_norm(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
@@ -181,18 +173,16 @@ def check_stationary_gradient_norm(seed: int = 0, trials: int = 100, rtol: float
     """
     rng = _rng(seed, 4)
     trials, rtol = count("trials", trials), finite("rtol", rtol)
-    worst = -np.inf
-    first_bad = ""
-    for _ in range(trials):
-        p = int(rng.integers(1, 30))
-        target = quadratic_target(rng.standard_normal(p), random_spd(rng, p, 0.5, 20.0))
-        exact = float(np.trace(target.oracle_meta.precision))
-        cap = target.M * p
-        margin = exact - cap
-        worst = max(worst, margin / max(cap, 1e-300))
-        if exact > cap * (1.0 + rtol) and not first_bad:
-            first_bad = f"p={p}: tr(precision)={exact!r} exceeds M*p={cap!r}"
-    return CheckResult("stationary gradient moment under M*p", not first_bad, trials, worst, first_bad)
+    exact, cap = np.empty((2, trials))
+    p = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        p[t] = rng.integers(1, 30)
+        target = quadratic_target(rng.standard_normal(p[t]), random_spd(rng, p[t], 0.5, 20.0))
+        exact[t], cap[t] = np.trace(target.oracle_meta.precision), target.M * p[t]
+    with np.errstate(over="ignore"):  # an rtol near the float limit saturates to inf
+        bad = exact > cap * (1.0 + rtol)
+    return _verdict("stationary gradient moment under M*p", trials, (exact - cap) / np.maximum(cap, 1e-300), bad,
+                    lambda i: f"p={p[i]}: tr(precision)={exact[i].item()!r} exceeds M*p={cap[i].item()!r}")
 
 
 def check_init_bound_ordering(seed: int = 0, trials: int = 100, rtol: float = 1e-12) -> CheckResult:
@@ -204,34 +194,32 @@ def check_init_bound_ordering(seed: int = 0, trials: int = 100, rtol: float = 1e
     """
     rng = _rng(seed, 5)
     trials, rtol = count("trials", trials), finite("rtol", rtol)
-    worst = -np.inf
-    first_bad = ""
-    cells = 0
-    for _ in range(trials):
-        p = int(rng.integers(1, 30))
-        target = quadratic_target(rng.standard_normal(p), random_spd(rng, p, 0.5, 20.0))
+    labels = ("mean-based", "f-based, generic floor", "f-based, exact mean of f")
+    exact, val = np.empty(trials), np.empty((trials, 3))
+    p = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        p[t] = rng.integers(1, 30)
+        target = quadratic_target(rng.standard_normal(p[t]), random_spd(rng, p[t], 0.5, 20.0))
         spec = target.oracle_meta
-        theta0 = spec.mean + float(rng.uniform(0.5, 5.0)) * rng.standard_normal(p)
-        exact = w2_init_exact(spec, theta0)
-        d2 = float(np.sum((theta0 - spec.mean) ** 2))
-        f0 = float(target.eval(theta0))
-        trio = (
-            ("mean-based", init_w2_from_mean(d2, p, target.m)),
-            ("f-based, generic floor", init_w2_from_f(f0, p, target.m, 0.0)),
-            ("f-based, exact mean of f", init_w2_from_f(f0, p, target.m, p / 2.0)),
-        )
-        for label, val in trio:
-            cells += 1
-            margin = exact - val
-            worst = max(worst, margin / max(val, 1e-300))
-            if exact > val * (1.0 + rtol) and not first_bad:
-                first_bad = f"p={p} {label}: exact {exact!r} exceeds bound {val!r}"
-        if trio[2][1] > trio[1][1] * (1.0 + rtol) and not first_bad:
-            first_bad = (
-                f"p={p}: tighter floor gave looser bound "
-                f"({trio[2][1]!r} > {trio[1][1]!r})"
-            )
-    return CheckResult("initial-distance bounds dominate exact W2", not first_bad, cells, worst, first_bad)
+        theta0 = spec.mean + float(rng.uniform(0.5, 5.0)) * rng.standard_normal(p[t])
+        exact[t] = w2_init_exact(spec, theta0)
+        d2, f0 = float(np.sum((theta0 - spec.mean) ** 2)), float(target.eval(theta0))
+        val[t] = (init_w2_from_mean(d2, p[t], target.m), init_w2_from_f(f0, p[t], target.m, 0.0),
+                  init_w2_from_f(f0, p[t], target.m, p[t] / 2.0))
+    # after each trial's three cells, the tighter floor must not give a looser
+    # bound; that test is no cell, so its column repeats the third cell's margin
+    margin = (exact[:, None] - val) / np.maximum(val, 1e-300)
+    with np.errstate(over="ignore"):  # an rtol near the float limit saturates to inf
+        bad = np.column_stack([exact[:, None] > val * (1.0 + rtol), val[:, 2] > val[:, 1] * (1.0 + rtol)])
+
+    def describe(i: int) -> str:
+        t, c = divmod(i, 4)
+        if c == 3:
+            return f"p={p[t]}: tighter floor gave looser bound ({val[t, 2].item()!r} > {val[t, 1].item()!r})"
+        return f"p={p[t]} {labels[c]}: exact {exact[t].item()!r} exceeds bound {val[t, c].item()!r}"
+
+    return _verdict("initial-distance bounds dominate exact W2", 3 * trials,
+                    np.column_stack([margin, margin[:, 2]]), bad, describe)
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:

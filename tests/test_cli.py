@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import subprocess_env
 from langevin_lab import __version__
-from langevin_lab.cli import build_parser, main
+from langevin_lab.cli import _json_text, build_parser, main
 from langevin_lab.sampler import GradientOracle, LmcConfig, final_states, run_lmc
 from langevin_lab.gaussian_oracle import gaussian_w2, moments_after_k, stationary_moments, w2_init_exact
 from langevin_lab.planner import CurvePoint
@@ -138,6 +139,29 @@ class TestBoundCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"value": 2.005299661143275}
 
+    # m = 1e-320 makes M/m overflow in the small-step bias; at h = 2/M the noisy bias is inf by design
+    @pytest.mark.parametrize("argv", [
+        ["--m", "1e-320", "--M", "5", "--h", "0.2", "--K", "10", "--p", "3", "--w2init", "1"],
+        ["--kind", "noisy", "--m", "4", "--M", "5", "--h", "0.4", "--K", "10", "--p", "3", "--w2init", "1"],
+    ])
+    def test_infinite_bound_is_strict_json_null(self, argv, tmp_path, capsys):
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "b.json"
+        assert main(["bound", *argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        payload = json.loads(printed, parse_constant=refuse)
+        assert payload["value"] is None and payload["bias_term"] is None and payload["gamma"] == 1.0
+        json.loads(out.with_name(out.name + ".manifest.json").read_text(), parse_constant=refuse)
+
+    def test_json_text_nulls_every_non_finite_float(self):
+        # a summary's path_mean can hold an inf where its in-order sum overflows
+        payload = {"path_mean": [1.5, math.inf, {"v": np.float64("nan")}], "t": (-math.inf, 2), "s": "x", "b": True}
+        assert json.loads(_json_text(payload)) == {"path_mean": [1.5, None, {"v": None}], "t": [None, 2],
+                                                   "s": "x", "b": True}
+
     def test_out_of_range_step_returns_two(self, capsys):
         code = main(["bound", "--kind", "lmc", "--m", "4", "--M", "5",
                      "--h", "0.5", "--K", "1", "--p", "1", "--w2init", "1"])
@@ -258,6 +282,9 @@ BOUND = ["bound", "--kind", "baseline", "--m", "1", "--M", "2", "--h", "0.5", "-
 EXIT_RULE = [
     (BOUND + ["--w2init", "1e308"], 2, "w2_init=1e+308 is too large"),
     (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "0.3", "--w2init", "1e308"], 2, "w2_init=1e+308"),
+    # 2 w2_init is finite, so the epsilon is what overflows 2 w2_init / epsilon
+    (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "1e-320", "--w2init", "1"], 2,
+     "epsilon=1e-320 is too small to plan for: 2 w2_init / epsilon overflows"),
     (["figure1", "--span", "1", "--out", "fig.csv"], 2, "grid span must exceed 1"),
     # 2/(m+M) rounds to 2/M: the step grid is refused, not a step the user never passed
     (["figure1", "--m", "1", "--M", "1e16", "--eps", "0.5", "--p-values", "1", "--out", "fig.csv"], 2,

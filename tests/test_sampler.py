@@ -384,6 +384,12 @@ class TestTemperedChain:
         a, b = recover(0.7), recover(3.1)
         assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_callable_start_draws_from_seed_and_replica_at_every_tau(self, gauss2):
+        start = noise_stream(5, 3, INIT_STREAM).standard_normal(2)
+        for tau in (0.0, 1e-300, 0.5):
+            t = run_tempered_lmc(gauss2, tau, 3, seed=5, replica=3, initial=lambda rng: rng.standard_normal(2))
+            assert np.array_equal(t.iterates[0], start), tau
+
     def test_validation(self, gauss2):
         with pytest.raises(ValueError, match="tau"):
             run_tempered_lmc(gauss2, -1.0, 5, initial=np.zeros(2))

@@ -13,10 +13,13 @@ from langevin_lab.validation import (
 )
 from hypothesis import given, settings, strategies as st
 
-from langevin_lab.bounds import BoundInputs, LARGE_STEP, SMALL_STEP, lmc_bound, noisy_lmc_bound
+import langevin_lab.validation as validation_mod
+from langevin_lab.bounds import (
+    BoundInputs, LARGE_STEP, SMALL_STEP, init_w2_from_f, init_w2_from_mean, lmc_bound, noisy_lmc_bound,
+)
 from langevin_lab.gaussian_oracle import _point_start_w2, w2_init_exact
 from langevin_lab.targets import quadratic_target
-from langevin_lab.validation import _rng
+from langevin_lab.validation import _rng, _verdict
 
 
 class TestRandomSpd:
@@ -186,8 +189,6 @@ def test_vectorized_trial_checks_equal_per_trial_loops(seed, trials, rtol):
 
 
 def test_validity_sweep_counts_a_non_finite_cell_as_a_failure(monkeypatch):
-    import langevin_lab.validation as validation_mod
-
     def with_nan_cell(spec, theta0, hs, ks):
         exact = _point_start_w2(spec, theta0, hs, ks)
         exact[0, 1] = np.nan
@@ -203,3 +204,130 @@ def test_validity_sweep_counts_a_non_finite_cell_as_a_failure(monkeypatch):
 def test_validity_sweep_takes_a_slack_near_the_float_limit_quietly():
     assert check_lmc_bound_validity(0, (1, 2), 1, 5, (1, 10), slack=1e308).passed
     assert not check_lmc_bound_validity(0, (1, 2), 1, 5, (1, 10), slack=-1e308).passed
+
+
+def _per_trial_gradient_norm(seed, trials, rtol):
+    rng = _rng(seed, 4)
+    worst, first_bad = -np.inf, ""
+    for _ in range(trials):
+        p = int(rng.integers(1, 30))
+        target = quadratic_target(rng.standard_normal(p), random_spd(rng, p, 0.5, 20.0))
+        exact, cap = float(np.trace(target.oracle_meta.precision)), target.M * p
+        worst = max(worst, (exact - cap) / max(cap, 1e-300))
+        if exact > cap * (1.0 + rtol) and not first_bad:
+            first_bad = f"p={p}: tr(precision)={exact!r} exceeds M*p={cap!r}"
+    return CheckResult("stationary gradient moment under M*p", not first_bad, trials, worst, first_bad)
+
+
+def _per_trial_init_ordering(seed, trials, rtol):
+    rng = _rng(seed, 5)
+    worst, first_bad = -np.inf, ""
+    for _ in range(trials):
+        p = int(rng.integers(1, 30))
+        target = quadratic_target(rng.standard_normal(p), random_spd(rng, p, 0.5, 20.0))
+        spec = target.oracle_meta
+        theta0 = spec.mean + float(rng.uniform(0.5, 5.0)) * rng.standard_normal(p)
+        exact = w2_init_exact(spec, theta0)
+        d2, f0 = float(np.sum((theta0 - spec.mean) ** 2)), float(target.eval(theta0))
+        trio = (
+            ("mean-based", init_w2_from_mean(d2, p, target.m)),
+            ("f-based, generic floor", init_w2_from_f(f0, p, target.m, 0.0)),
+            ("f-based, exact mean of f", init_w2_from_f(f0, p, target.m, p / 2.0)),
+        )
+        for label, val in trio:
+            worst = max(worst, (exact - val) / max(val, 1e-300))
+            if exact > val * (1.0 + rtol) and not first_bad:
+                first_bad = f"p={p} {label}: exact {exact!r} exceeds bound {val!r}"
+        if trio[2][1] > trio[1][1] * (1.0 + rtol) and not first_bad:
+            first_bad = f"p={p}: tighter floor gave looser bound ({trio[2][1]!r} > {trio[1][1]!r})"
+    return CheckResult("initial-distance bounds dominate exact W2", not first_bad, 3 * trials, worst, first_bad)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32), trials=st.integers(0, 40), rtol=st.sampled_from([1e-12, 0.0, -1.0]))
+def test_per_trial_model_checks_equal_per_trial_loops(seed, trials, rtol):
+    # at rtol = -1 every cell fails, so the failure details are compared too
+    assert check_stationary_gradient_norm(seed, trials, rtol) == _per_trial_gradient_norm(seed, trials, rtol)
+    assert check_init_bound_ordering(seed, trials, rtol) == _per_trial_init_ordering(seed, trials, rtol)
+
+
+def test_init_ordering_fails_a_tighter_floor_that_gives_a_looser_bound(monkeypatch):
+    # a floor c that raises the bound by c: every cell still holds, the floor test does not
+    calls = []
+
+    def looser_with_floor(f0, p, m, c):
+        calls.append(p)
+        return init_w2_from_f(f0, p, m, 0.0) + c
+
+    monkeypatch.setattr(validation_mod, "init_w2_from_f", looser_with_floor)
+    got = check_init_bound_ordering(0, 4)
+    assert not got.passed and got.cells == 12 and got.worst <= 0.0
+    assert got.detail.startswith(f"p={calls[0]}: tighter floor gave looser bound (")
+
+
+def _with_nan_value(core, at, named, describe):
+    """core with a NaN in its first call's value at index at; named records describe(*args)."""
+    def patched(*args):
+        out = core(*args)
+        if named:
+            return out
+        value = out[0].copy()
+        value[at] = np.nan
+        named.append(describe(*args))
+        return (value,) + tuple(out[1:])
+    return patched
+
+
+class TestNonFiniteMarginFails:
+    """A NaN margin shows nothing, so every check fails at that cell and names it."""
+
+    def test_bound_validity(self, monkeypatch):
+        named = []
+        monkeypatch.setattr(validation_mod, "lmc_core", _with_nan_value(
+            validation_mod.lmc_core, (1, 2), named, lambda m, M, h, K, p, w2: f"p={p} h={h[2]:.6g} K={K[1, 0]}:"))
+        got = check_lmc_bound_validity(0, (2,), 2, 4, (1, 10))
+        assert not got.passed and got.detail.startswith(named[0]) and "margin not finite" in got.detail
+
+    def test_regime_continuity(self, monkeypatch):
+        named = []
+        monkeypatch.setattr(validation_mod, "lmc_core", _with_nan_value(
+            validation_mod.lmc_core, 3, named,
+            lambda m, M, h, K, p, w2, regime: f"m={m[3]:.6g} M={M[3]:.6g} K={K[3]} p={p[3]} w2={w2[3]:.6g}:"))
+        got = check_regime_continuity(0, 10)
+        assert not got.passed and got.detail.startswith(named[0]) and "branches nan vs" in got.detail
+
+    def test_noise_dominance(self, monkeypatch):
+        named = []
+        monkeypatch.setattr(validation_mod, "noisy_lmc_core", _with_nan_value(
+            validation_mod.noisy_lmc_core, 3, named,
+            lambda m, M, h, K, p, w2, s: f"m={m[3]:.6g} M={M[3]:.6g} h={h[3]:.6g} K={K[3]} p={p[3]} w2={w2[3]:.6g}:"))
+        got = check_noise_dominance(0, 10)
+        assert not got.passed and got.detail.startswith(named[0]) and "noisy bound nan below" in got.detail
+
+    def test_stationary_gradient_norm(self, monkeypatch):
+        trace, named = np.trace, []
+
+        def nan_on_third_call(a, *args, **kwargs):
+            named.append(a.shape[0])
+            return np.nan if len(named) == 3 else trace(a, *args, **kwargs)
+
+        monkeypatch.setattr(validation_mod.np, "trace", nan_on_third_call)
+        got = check_stationary_gradient_norm(0, 5)
+        assert not got.passed and got.detail.startswith(f"p={named[2]}: tr(precision)=nan exceeds")
+
+    def test_init_bound_ordering(self, monkeypatch):
+        exact, named = validation_mod.w2_init_exact, []
+
+        def nan_on_second_call(spec, theta0):
+            named.append(theta0.size)
+            return np.nan if len(named) == 2 else exact(spec, theta0)
+
+        monkeypatch.setattr(validation_mod, "w2_init_exact", nan_on_second_call)
+        got = check_init_bound_ordering(0, 5)
+        assert not got.passed and got.detail.startswith(f"p={named[1]} mean-based: exact nan exceeds")
+
+    def test_verdict_takes_the_first_cell_in_counting_order(self):
+        margin = np.array([[-1.0, np.inf], [2.0, np.nan]])
+        got = _verdict("demo", 4, margin, margin > 1.0, lambda i: f"cell {i}")
+        assert got == CheckResult("demo", False, 4, np.inf, "cell 1")  # fmax skips only NaN
+        assert _verdict("demo", 0, [], [], str, worst=0.0) == CheckResult("demo", True, 0, 0.0, "")
