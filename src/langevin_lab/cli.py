@@ -18,34 +18,37 @@ for anything else, such as an unreachable precision or a diverging chain.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from .bounds import BoundInputs, baseline_bound, lmc_bound, noisy_lmc_bound
-from .planner import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_GRID_SPAN,
-    UnreachablePrecisionError,
-    figure1_curves,
-    plan_for_epsilon,
-)
-from .sampler import GradientOracle, LmcConfig, final_states, write_trajectory, _replacing, _write_theta_csv
-# run_lmc, run_nlmc and trajectory_to_csv are unused here but stay module
-# attributes: perfbench/tracing.py patches them by name, so without them
-# every `--trace 1` benchmark run stops with AttributeError.  They can go
-# once the tracer no longer looks them up.
-from .sampler import run_lmc, run_nlmc, trajectory_to_csv  # noqa: F401
-from .targets import load_target
-from .validation import run_all_checks
+from . import __version__, _lazy_getattr
+
+if TYPE_CHECKING:
+    import argparse
+
+# The library names the commands call, by module.  A command looks each one
+# up on this module, _cli, when it runs, and the first lookup imports the
+# name's module: `import langevin_lab.cli` loads none of them, and a name
+# rebound here is the one the commands call.  perfbench/tracing.py rebinds
+# run_lmc, run_nlmc and trajectory_to_csv too, so they stay listed although
+# no command calls them.
+__getattr__ = _lazy_getattr(globals(), {
+    "bounds": ("BoundInputs", "baseline_bound", "lmc_bound", "noisy_lmc_bound"),
+    "planner": ("DEFAULT_GRID_SIZE", "DEFAULT_GRID_SPAN", "UnreachablePrecisionError", "figure1_curves",
+                "plan_for_epsilon"),
+    "sampler": ("GradientOracle", "LmcConfig", "final_states", "run_lmc", "run_nlmc", "trajectory_to_csv",
+                "write_trajectory", "_replacing", "_write_theta_csv"),
+    "targets": ("load_target",),
+    "validation": ("run_all_checks",),
+})
+_cli = sys.modules[__name__]
 
 
 def _list_of(convert):
@@ -59,6 +62,8 @@ def _list_of(convert):
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     buf = bytearray(1 << 16)  # one fixed 64 KB buffer, whatever the file size
     view = memoryview(buf)
@@ -92,7 +97,7 @@ def _json_text(payload: dict) -> str:
 
 def _write_json(path: Path, payload: dict) -> Path:
     """Write payload to path as _json_text (see _replacing) and return path."""
-    with _replacing(path) as fh:
+    with _cli._replacing(path) as fh:
         fh.write(_json_text(payload) + "\n")
     return path
 
@@ -113,21 +118,21 @@ def _emit_json(args: argparse.Namespace, payload: dict, started: float) -> int:
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_sample(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    oracle = GradientOracle(
+    oracle = _cli.GradientOracle(
         mode=args.oracle, sigma=args.sigma, batch=args.batch, noise=args.noise
     )
-    config = LmcConfig(h=args.h, K=args.K, seed=args.seed, oracle=oracle)
-    target = load_target(args.target)
+    config = _cli.LmcConfig(h=args.h, K=args.K, seed=args.seed, oracle=oracle)
+    target = _cli.load_target(args.target)
     initial = np.zeros(target.dim) if args.init is None else args.init
 
     out = Path(args.out)
     try:
         if args.replicas == 1:
-            summary = write_trajectory(target, config, initial, out)
+            summary = _cli.write_trajectory(target, config, initial, out)
             ran = f"{config.K} steps, dim {target.dim}"
         else:
-            finals = final_states(target, config, initial, args.replicas)
-            _write_theta_csv(out, "replica", finals, target.dim)
+            finals = _cli.final_states(target, config, initial, args.replicas)
+            _cli._write_theta_csv(out, "replica", finals, target.dim)
             summary = {
                 "dim": target.dim,
                 "iterations": config.K,
@@ -151,27 +156,31 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    inputs = BoundInputs(
+    inputs = _cli.BoundInputs(
         m=args.m, M=args.M, h=args.h, K=args.K, p=args.p, w2_init=args.w2init, sigma=args.sigma
     )
     if args.kind == "lmc":
-        payload = lmc_bound(inputs).as_dict()
+        payload = _cli.lmc_bound(inputs).as_dict()
     elif args.kind == "noisy":
-        payload = noisy_lmc_bound(inputs).as_dict()
+        payload = _cli.noisy_lmc_bound(inputs).as_dict()
     else:
-        payload = {"value": baseline_bound(inputs)}
+        payload = {"value": _cli.baseline_bound(inputs)}
     return _emit_json(args, payload, started)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    plan = plan_for_epsilon(args.m, args.M, args.p, args.w2init, args.eps)
+    plan = _cli.plan_for_epsilon(args.m, args.M, args.p, args.w2init, args.eps)
     return _emit_json(args, plan.as_dict(), started)
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    points = figure1_curves(
+    if args.grid_size is None:
+        args.grid_size = _cli.DEFAULT_GRID_SIZE
+    if args.span is None:
+        args.span = _cli.DEFAULT_GRID_SPAN
+    points = _cli.figure1_curves(
         m=args.m,
         M=args.M,
         epsilons=args.eps,
@@ -181,7 +190,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     header = "p,epsilon,k_lmc,k_baseline,log10_k_lmc,log10_k_baseline,ratio"
-    with _replacing(out) as fh:
+    with _cli._replacing(out) as fh:
         fh.write(header + "\n")
         for point in points:
             log_l = math.log10(point.k_lmc) if point.k_lmc > 0 else math.nan
@@ -196,7 +205,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = run_all_checks(seed=args.seed)
+    results = _cli.run_all_checks(seed=args.seed)
     for result in results:
         print(result)
     if all(r.passed for r in results):
@@ -206,6 +215,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="langevin-lab",
         description="Langevin Monte Carlo with computable Wasserstein-2 guarantees",
@@ -256,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated precisions")
     p_fig.add_argument("--p-values", type=_list_of(int), default=(10, 100, 1000, 10000),
                        help="comma-separated dimensions")
-    p_fig.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                       help="step-grid resolution")
-    p_fig.add_argument("--span", type=float, default=DEFAULT_GRID_SPAN,
+    # None stands for the planner's defaults, which cmd_figure1 fills in
+    # before the manifest records them, so parsing does not import the planner
+    p_fig.add_argument("--grid-size", type=int, default=None, help="step-grid resolution")
+    p_fig.add_argument("--span", type=float, default=None,
                        help="ratio between largest and smallest grid step")
     p_fig.add_argument("--out", default="figure1.csv", help="output CSV path")
     p_fig.set_defaults(func=cmd_figure1)
@@ -283,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except Exception as exc:  # the module docstring states the exit codes
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) and not isinstance(exc, UnreachablePrecisionError) else 1
+        return 2 if isinstance(exc, ValueError) and not isinstance(exc, _cli.UnreachablePrecisionError) else 1
 
 
 if __name__ == "__main__":

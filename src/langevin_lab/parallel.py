@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ._scalars import count
@@ -40,6 +39,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     workers = min(thread_cap(), len(seq)) if seq else 1
     if workers <= 1:
         return [fn(x) for x in seq]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         contexts = [contextvars.copy_context() for _ in seq]
         return list(pool.map(lambda context, x: context.run(fn, x), contexts, seq))

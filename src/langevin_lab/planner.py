@@ -51,7 +51,7 @@ class UnreachablePrecisionError(ValueError):
         self.epsilon = epsilon
         self.bound_infimum = bound_infimum
         super().__init__(
-            f"precision epsilon={epsilon:g} is unreachable: after {k_cap} iterations the "
+            f"precision epsilon={epsilon!r} is unreachable: after {k_cap} iterations the "
             f"bound's infimum over the step grid is {bound_infimum:.6g}; use a grid with "
             f"smaller steps or relax epsilon"
         )
@@ -111,6 +111,8 @@ def default_h_grid(
     if not span > 1.0:
         raise ValueError(f"grid span must exceed 1, got {span}")
     hi = 2.0 / (m + M)
+    if math.isinf(hi):
+        raise ValueError(f"m={m!r} and M={M!r} are too small for a step grid: 2/(m+M) overflows")
     if not hi < 2.0 / M:  # the top step would be 2/M, where no bound is stated
         raise ValueError(f"M/m = {M / m:g} is too large for a step grid: 2/(m+M) rounds to 2/M (m={m:g}, M={M:g})")
     if not hi / span > 0.0:
@@ -135,6 +137,8 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     """
     m, M, p, w2_init, epsilon = _check_common(m, M, p, w2_init, epsilon)
     scale = 14.0 * M * M * p
+    if scale == 0.0:
+        raise ValueError(f"m={m!r} and M={M!r} are too small to plan for: 14 M^2 p underflows to 0")
     h_bias = m * m * epsilon * epsilon / scale
     if math.isnan(h_bias):
         raise ValueError(f"m={m:g} and M={M:g} are too large to plan for: m^2 and M^2 overflow")
@@ -149,7 +153,7 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     h = min(h_bias, boundary)
     binding = "bias" if h < boundary else "boundary"
     if not 1.0 - m * h < 1.0:  # a larger epsilon helps only where the boundary step contracts
-        cause = (f"epsilon={epsilon:g} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) = {h:g}"
+        cause = (f"epsilon={epsilon!r} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) = {h:g}"
                  if 1.0 - m * boundary < 1.0 else
                  f"M/m = {M / m:g} is too large to plan for (m={m:g}, M={M:g}): even the boundary step "
                  f"h = 2/(m+M) = {boundary:g}")

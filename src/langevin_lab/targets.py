@@ -150,7 +150,8 @@ def quadratic_target(mean: np.ndarray, precision: np.ndarray) -> TargetPotential
         return 0.5 * np.sum((d @ A) * d, axis=-1)
 
     def _grad(theta: np.ndarray) -> np.ndarray:
-        return (np.asarray(theta, dtype=float) - mu) @ A
+        # the bits of `@`, several times faster on a batch of 1-d states
+        return np.dot(np.asarray(theta, dtype=float) - mu, A)
 
     return TargetPotential(dim=spec.dim, m=lo, M=hi, eval=_eval, grad=_grad, oracle_meta=spec)
 

@@ -314,6 +314,16 @@ EXIT_RULE = [
     (BOUND + ["--w2init", "1", "--out", "nodir/b.json"], 1, "No such file or directory: 'nodir/b.json'"),
     (["sample", "--target", "quad.json", "--h", "0.1", "--K", "5", "--out", "nodir/x.csv"], 1,
      "No such file or directory: 'nodir/x.csv'"),
+    # a subnormal epsilon is named as passed, not as :g's 9.99989e-321
+    (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "1e-320", "--w2init", "1e-320"], 2,
+     "epsilon=1e-320 is too small to plan for: the step"),
+    (["figure1", "--eps", "1e-320", "--p-values", "1", "--grid-size", "50", "--out", "fig.csv"], 1,
+     "precision epsilon=1e-320 is unreachable"),
+    # curvature so small that 14 M^2 p underflows to 0, or 2/(m+M) overflows, is named as such
+    (["plan", "--m", "1e-200", "--M", "1e-200", "--p", "10", "--eps", "0.1", "--w2init", "1"], 2,
+     "m=1e-200 and M=1e-200 are too small to plan for: 14 M^2 p underflows to 0"),
+    (["figure1", "--m", "1e-310", "--M", "1e-308", "--eps", "0.1", "--p-values", "3", "--out", "fig.csv"], 2,
+     "m=1e-310 and M=1e-308 are too small for a step grid: 2/(m+M) overflows"),
 ]
 
 

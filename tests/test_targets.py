@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_spd, philox, subprocess_env
@@ -44,6 +44,20 @@ class TestQuadratic:
         for i in range(7):
             assert fs[i] == pytest.approx(float(t.eval(xs[i])), rel=1e-12)
             np.testing.assert_allclose(gs[i], t.grad(xs[i]), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 200), rows=st.one_of(st.none(), st.integers(1, 5000)), strided=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(p=1, rows=4096, strided=False, seed=0)  # a replicas_1d batch
+    @example(p=100, rows=32, strided=False, seed=0)  # chains_p100's replicas and trajectory
+    @example(p=100, rows=None, strided=False, seed=0)
+    def test_grad_has_the_bits_of_the_matmul_form(self, p, rows, strided, seed):
+        r = philox(seed)
+        t = quadratic_target(r.standard_normal(p), make_spd(r, p))
+        shape = (p,) if rows is None else (rows, p)
+        x = r.standard_normal((2 * shape[0], *shape[1:]))[::-2] if strided else r.standard_normal(shape)
+        spec = t.oracle_meta
+        assert np.array_equal(t.grad(x), (x - spec.mean) @ spec.precision)
 
     def test_curvature_constants_are_extreme_eigenvalues(self, rng):
         A = make_spd(rng, 5, 2.0, 9.0)
