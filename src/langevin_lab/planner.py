@@ -97,6 +97,21 @@ def _check_common(m, M, p, w2_init, epsilon) -> tuple[float, float, int, float, 
     return m, M, count("dimension p", p, 1), nonnegative("w2_init", w2_init), positive("epsilon", epsilon)
 
 
+def _step_grid(hi: float, top: float, kappa: float, size, span, named: str) -> np.ndarray:
+    """Geometric grid of size steps over (hi/span, hi], refused where hi is not below top = 2/M."""
+    size, span = count("grid size", size, 2), finite("grid span", span)
+    if not span > 1.0:
+        raise ValueError(f"grid span must exceed 1, got {span}")
+    if not hi < top:  # the top step would be 2/M, where no bound is stated
+        raise ValueError(f"M/m = {kappa:g} is too large for a step grid: 2/(m+M) rounds to 2/M")
+    if not hi / span > 0.0:
+        raise ValueError(f"the smallest grid step 2/((m+M) span) underflows to 0 ({named}, span={span:g})")
+    try:
+        return np.geomspace(hi / span, hi, size)
+    except (ValueError, MemoryError) as err:  # beyond numpy's size limit, or the address space
+        raise ValueError(f"grid size={size} is too large to hold: {err}") from None
+
+
 def default_h_grid(
     m: float, M: float, size: int = DEFAULT_GRID_SIZE, span: float = DEFAULT_GRID_SPAN
 ) -> np.ndarray:
@@ -107,26 +122,16 @@ def default_h_grid(
     stay reachable in high dimension.
     """
     m, M = curvature(m, M)
-    size, span = count("grid size", size, 2), finite("grid span", span)
-    if not span > 1.0:
-        raise ValueError(f"grid span must exceed 1, got {span}")
     hi = 2.0 / (m + M)
     if math.isinf(hi):
         raise ValueError(f"m={m!r} and M={M!r} are too small for a step grid: 2/(m+M) overflows")
-    if not hi < 2.0 / M:  # the top step would be 2/M, where no bound is stated
-        raise ValueError(f"M/m = {M / m:g} is too large for a step grid: 2/(m+M) rounds to 2/M (m={m:g}, M={M:g})")
-    if not hi / span > 0.0:
-        raise ValueError(f"the smallest grid step 2/((m+M) span) underflows to 0 (m={m:g}, M={M:g}, span={span:g})")
-    try:
-        return np.geomspace(hi / span, hi, size)
-    except (ValueError, MemoryError) as err:  # beyond numpy's size limit, or the address space
-        raise ValueError(f"grid size={size} is too large to hold: {err}") from None
+    return _step_grid(hi, 2.0 / M, M / m, size, span, f"m={m:g}, M={M:g}")
 
 
 def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float) -> Plan:
     """Closed-form (h, K) recipe certifying W2 error at most epsilon.
 
-    The step is h = min(m^2 eps^2 / (14 M^2 p), 2/(m+M)): the first cap
+    The step is h = min(eps^2 / (14 (M/m)^2 p), 2/(m+M)): the first cap
     pins the bias term under eps with margin, the second keeps h in the
     small-step regime.  Then K = ceil(log(2 w2_init / eps) / (m h))
     drives the geometric term below eps/2; where the float 1 - m h
@@ -136,28 +141,22 @@ def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float)
     at most epsilon.
     """
     m, M, p, w2_init, epsilon = _check_common(m, M, p, w2_init, epsilon)
-    scale = 14.0 * M * M * p
-    if scale == 0.0:
-        raise ValueError(f"m={m!r} and M={M!r} are too small to plan for: 14 M^2 p underflows to 0")
-    h_bias = m * m * epsilon * epsilon / scale
-    if math.isnan(h_bias):
-        raise ValueError(f"m={m:g} and M={M:g} are too large to plan for: m^2 and M^2 overflow")
-    if math.isinf(scale):
-        culprit = f"M={M:g}" if math.isinf(14.0 * M * M) else f"dimension p={p:g}"
-        raise ValueError(f"{culprit} is too large to plan for: 14 M^2 p overflows")
     if not math.isfinite(2.0 * w2_init / epsilon):
         culprit = (f"epsilon={epsilon!r} is too small" if math.isfinite(2.0 * w2_init)
                    else f"w2_init={w2_init:g} is too large")
         raise ValueError(f"{culprit} to plan for: 2 w2_init / epsilon overflows")
-    boundary = 2.0 / (m + M)
-    h = min(h_bias, boundary)
+    kappa, boundary = M / m, 2.0 / (m + M)
+    if not 1.0 - 2.0 / (1.0 + kappa) < 1.0:  # then no epsilon helps
+        raise ValueError(f"M/m = {kappa:g} is too large to plan for (m={m:g}, M={M:g}): no step contracts")
+    if math.isinf(scale := 14.0 * kappa * kappa * p):  # M/m is below 2**55 here
+        raise ValueError(f"dimension p={p:g} is too large to plan for: 14 (M/m)^2 p overflows")
+    h = min(epsilon * epsilon / scale, boundary)
+    if not boundary > 0.0 or math.isinf(h):  # m + M overflows, or the step overflows with 2/(m+M)
+        raise ValueError(f"m={m:g} and M={M:g} are too {'small' if h else 'large'} to plan for: the step h = {h:g}")
+    if not 1.0 - m * h < 1.0:
+        raise ValueError(f"epsilon={epsilon!r} is too small to plan for: the step h = eps^2 / (14 (M/m)^2 p) = "
+                         f"{h:g} leaves the contraction factor 1 - m h at 1 in floating point")
     binding = "bias" if h < boundary else "boundary"
-    if not 1.0 - m * h < 1.0:  # a larger epsilon helps only where the boundary step contracts
-        cause = (f"epsilon={epsilon!r} is too small to plan for: the step h = m^2 eps^2 / (14 M^2 p) = {h:g}"
-                 if 1.0 - m * boundary < 1.0 else
-                 f"M/m = {M / m:g} is too large to plan for (m={m:g}, M={M:g}): even the boundary step "
-                 f"h = 2/(m+M) = {boundary:g}")
-        raise ValueError(f"{cause} leaves the contraction factor 1 - m h at 1 in floating point")
     log_ratio = math.log(2.0 * w2_init / epsilon) if 2.0 * w2_init > epsilon else 0.0
     K = 0
     # the float 1 - m h can round up so far that -log(1 - m h) < m h; only where that leaves K
@@ -280,7 +279,9 @@ def figure1_curves(
 
     For each (epsilon, p) the start is placed at squared distance p from
     the mode, giving w2_init = sqrt(p + p/m) through the mean-based
-    initial bound, and both planners search the same step grid.  Either
+    initial bound, and both planners search the same step grid, all
+    where m = 1 (see bounds): M/m, sqrt(m) w2_init and sqrt(m) epsilon
+    on the grid over (2/((1+M/m) span), 2/(1+M/m)].  Either
     count may be the smaller one: k_lmc <= k_baseline is not a theorem,
     since the additive bound's bias exceeds the squared form's once M/m
     is above about 1.22 (m=2, M=7, eps=0.1, p=3 gives 40,123 against
@@ -290,13 +291,19 @@ def figure1_curves(
     p_list = [count("dimension p", p, 1) for p in p_values]
     if not eps_list or not p_list:
         raise ValueError(f"the {'dimension p' if eps_list else 'epsilon'} list must be nonempty")
-    grid = default_h_grid(m, M, size=grid_size, span=span)
+    m, M = curvature(m, M)
+    kappa, root = M / m, math.sqrt(m)
+    grid = _step_grid(2.0 / (1.0 + kappa), 2.0 / kappa, kappa, grid_size, span, f"M/m={kappa:g}")
 
     def solve(point: tuple[float, int]) -> CurvePoint:
         eps, p = point
-        w2 = init_w2_from_mean(float(p), p, m)
-        k_l = minimal_k_lmc(m, M, p, w2, eps, h_grid=grid, k_cap=k_cap)
-        k_b = minimal_k_baseline(m, M, p, w2, eps, h_grid=grid, k_cap=k_cap)
+        # no finite bound exceeds the largest float, which stands in for an overflowing sqrt(m) eps
+        w2, unit_eps = init_w2_from_mean(m * p, p, 1.0), min(root * eps, np.finfo(float).max)
+        try:
+            k_l = minimal_k_lmc(1.0, kappa, p, w2, unit_eps, h_grid=grid, k_cap=k_cap)
+            k_b = minimal_k_baseline(1.0, kappa, p, w2, unit_eps, h_grid=grid, k_cap=k_cap)
+        except UnreachablePrecisionError as err:  # restated in the units epsilon was passed in
+            raise UnreachablePrecisionError(eps, err.bound_infimum / root, k_cap) from None
         return CurvePoint(p=p, epsilon=eps, k_lmc=k_l, k_baseline=k_b)
 
     jobs = [(eps, p) for eps in eps_list for p in p_list]

@@ -349,6 +349,61 @@ def test_array_cores_are_the_scalar_bounds_to_the_last_bit(m, ratio, fracs, ks, 
             assert baseline_bound(i) == b
 
 
+def _normal(*xs) -> bool:
+    """Every x is zero or a normal float."""
+    return all(x == 0.0 or np.finfo(float).tiny <= abs(x) < math.inf for x in xs)
+
+
+def _every_bound(m, M, h, k, p, w2, sigma) -> dict:
+    """Each bound stated at these inputs, by h and in each regime that may be forced there,
+    as its value and, where reported, its contraction and bias terms."""
+    i = BoundInputs(m=m, M=M, h=h, K=k, p=p, w2_init=w2, sigma=sigma)
+    regimes = [None] + [SMALL_STEP] * (h <= i.boundary) + [LARGE_STEP] * (h >= i.boundary)
+    out = {("baseline", None): (baseline_bound(i),)} if h <= i.boundary else {}
+    for bound in (lmc_bound, noisy_lmc_bound):
+        for regime in regimes:
+            if bound is noisy_lmc_bound or h < 2.0 / M:
+                r = bound(i, regime)
+                out[bound.__name__, regime] = (r.value, r.contraction_term, r.bias_term)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.floats(0.1, 10.0),
+    ratio=st.floats(1.0, 30.0),
+    where=st.sampled_from(["small", "boundary", "large", "two over M"]),
+    frac=st.floats(1e-3, 1.0, exclude_max=True),
+    k=st.integers(0, 1000),
+    p=st.integers(1, 1000),
+    w2=st.one_of(st.just(0.0), st.floats(1e-3, 100.0)),
+    sigma=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    j=st.integers(-510, 510),
+)
+def test_bounds_are_homogeneous_in_the_curvature(m, ratio, where, frac, k, p, w2, sigma, j):
+    """Scaling (m, M, h, w2, sigma) to (s m, s M, h/s, w2/sqrt(s), sigma sqrt(s)) with s = 4**j
+    divides every bound by exactly 2**j, for each j where the scaled inputs, m + M, m p, 2/M,
+    2/(m+M) and the bound's scaled parts are normal floats: the bounds depend on m and M only
+    through M/m and the scaled inputs."""
+    M = m * ratio
+    boundary = 2.0 / (m + M)
+    h = {"small": frac * boundary, "boundary": boundary, "two over M": 2.0 / M,
+         "large": boundary + frac * (2.0 / M - boundary)}[where]
+    if not 0.0 < h <= 2.0 / M:
+        return
+    base = _every_bound(m, M, h, k, p, w2, sigma)
+    for i in sorted({j, *range(-510, 511, 30)}):
+        s, r = 4.0**i, 2.0**i
+        scaled = (s * m, s * M, h / s, w2 / r, sigma * r)
+        if not _normal(*scaled, s * m + s * M, s * m * p, 2.0 / (s * M), 2.0 / (s * m + s * M)):
+            continue
+        got = _every_bound(*scaled[:3], k, p, *scaled[3:])
+        assert got.keys() == base.keys(), i
+        for key, parts in base.items():
+            if _normal(*parts, *(x / r for x in parts)):
+                assert got[key] == tuple(x / r for x in parts), (i, key)
+
+
 class TestCoreChecks:
     def test_out_of_range_step_is_named(self):
         with pytest.raises(ValueError, match=r"\(0, 2/M\) = \(0, 0.4\), got 0.45"):

@@ -98,11 +98,11 @@ class TestExitCodes:
         assert code == 2
         assert "epsilon=1e-300 is too small" in capsys.readouterr().err
 
-    def test_overflowing_m_squared_plan_names_m(self, capsys):
+    def test_plan_with_M_near_the_float_limit_names_the_curvature_ratio(self, capsys):
         code = main(["plan", "--m", "4", "--M", "1e308", "--p", "10", "--eps", "0.1", "--w2init", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "M=1e+308 is too large to plan for: 14 M^2 p overflows" in err
+        assert "M/m = 2.5e+307 is too large to plan for (m=4, M=1e+308)" in err
         assert "epsilon" not in err
 
     def test_unreachable_precision_returns_one(self, tmp_path, capsys):
@@ -319,11 +319,12 @@ EXIT_RULE = [
      "epsilon=1e-320 is too small to plan for: the step"),
     (["figure1", "--eps", "1e-320", "--p-values", "1", "--grid-size", "50", "--out", "fig.csv"], 1,
      "precision epsilon=1e-320 is unreachable"),
-    # curvature so small that 14 M^2 p underflows to 0, or 2/(m+M) overflows, is named as such
+    # tiny curvature is planned as where m = 1: there epsilon = 0.1 is sqrt(m) eps = 1e-101, whose
+    # step m h cannot contract, and sqrt(1e-310) 0.1 is far below the bound's infimum over the grid
     (["plan", "--m", "1e-200", "--M", "1e-200", "--p", "10", "--eps", "0.1", "--w2init", "1"], 2,
-     "m=1e-200 and M=1e-200 are too small to plan for: 14 M^2 p underflows to 0"),
-    (["figure1", "--m", "1e-310", "--M", "1e-308", "--eps", "0.1", "--p-values", "3", "--out", "fig.csv"], 2,
-     "m=1e-310 and M=1e-308 are too small for a step grid: 2/(m+M) overflows"),
+     "epsilon=0.1 is too small to plan for: the step h = eps^2 / (14 (M/m)^2 p) = 7.14286e-05"),
+    (["figure1", "--m", "1e-310", "--M", "1e-308", "--eps", "0.1", "--p-values", "3", "--out", "fig.csv"], 1,
+     "precision epsilon=0.1 is unreachable"),
 ]
 
 
@@ -337,6 +338,23 @@ def test_exit_rule(argv, code, message, quad_target_file, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and ".partial" not in err, err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["quad.json", "stiff.json"]
+
+
+# bounds and counts depend on m and M only through M/m and the scaled inputs, so curvature near
+# the float limits gives the values of m = 1, rescaled (they overflowed or divided by zero before)
+@pytest.mark.parametrize("argv, value", [
+    (["--m", "1e-200", "--M", "1e-200", "--h", "1", "--w2init", "1"], 3.7416573867739413),
+    (["--m", "1e200", "--M", "1e200", "--h", "1e-200", "--w2init", "1e-100"], 6.164572420289991e-100),
+])
+def test_baseline_bound_at_extreme_curvature(argv, value, capsys):
+    assert main(["bound", "--kind", "baseline", "--K", "10", "--p", "3"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_figure1_at_huge_curvature_counts_as_at_unit_curvature(tmp_path):
+    out = tmp_path / "fig.csv"
+    assert main(["figure1", "--m", "1e200", "--M", "1e200", "--eps", "0.1", "--p-values", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[2:4] == ["1", "10"]
 
 
 class TestFigureCommand:

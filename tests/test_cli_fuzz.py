@@ -203,19 +203,24 @@ def bound_at(m=4.0, M=5.0, h=0.2):
 
 
 def plan_at(m=4.0, M=5.0, p=10, eps=0.3, w2init=1.0):
-    """plan's rules: its flags' own, and a step h = min(m^2 eps^2 / (14 M^2 p), 2/(m+M))
-    whose float 1 - m h is below 1, with 14 M^2 p and 2 w2init / eps finite."""
+    """plan's rules: its flags' own, a finite 2 w2init / eps and, with kappa = M/m, a float
+    1 - 2/(1 + kappa) below 1, a finite 14 kappa^2 p, a positive 2/(m+M) and a finite step
+    h = min(eps^2 / (14 kappa^2 p), 2/(m+M)) whose float 1 - m h is below 1."""
     m, M = curvature(m, M)
     p, eps, w2init = count("p", p, 1), positive("eps", eps), nonnegative("w2init", w2init)
-    h = min(m * m * eps * eps / (14.0 * M * M * p), 2.0 / (m + M))
-    if not (1.0 - m * h < 1.0 and math.isfinite(14.0 * M * M * p) and math.isfinite(2.0 * w2init / eps)):
+    kappa, boundary = M / m, 2.0 / (m + M)
+    scale = 14.0 * kappa * kappa * p
+    h = min(eps * eps / scale, boundary)
+    if not (math.isfinite(2.0 * w2init / eps) and 1.0 - 2.0 / (1.0 + kappa) < 1.0 and math.isfinite(scale)
+            and boundary > 0.0 and h < math.inf and 1.0 - m * h < 1.0):
         raise ValueError("no plan")
 
 
 def grid_at(m=4.0, M=5.0):
-    """figure1's rule on m and M: 0 < m <= M, with 2/(m+M) below 2/M in floating point."""
+    """figure1's rule on m and M: 0 < m <= M, with 2/(1 + M/m) below 2/(M/m) in floating point
+    (the step grid is taken where m = 1)."""
     m, M = curvature(m, M)
-    if not 2.0 / (m + M) < 2.0 / M:
+    if not 2.0 / (1.0 + M / m) < 2.0 / (M / m):
         raise ValueError("no step grid")
 
 

@@ -288,6 +288,48 @@ def test_direct_search_equals_bisection(m, ratio, p, w2, eps, grid_size, span, k
             assert [run() for run in searches] == [want, want]
 
 
+def _normal(*xs) -> bool:
+    """Every x is zero or a normal float."""
+    return all(x == 0.0 or np.finfo(float).tiny <= abs(x) < math.inf for x in xs)
+
+
+def _counts(m, M, p, w2, eps, grid):
+    """(minimal_k_lmc, minimal_k_baseline) on grid, None where unreachable, and plan_for_epsilon's plan."""
+    counts = []
+    for search in (minimal_k_lmc, minimal_k_baseline):
+        try:
+            counts.append(search(m, M, p, w2, eps, h_grid=grid, k_cap=10**6))
+        except UnreachablePrecisionError:
+            counts.append(None)
+    return counts, plan_for_epsilon(m, M, p, w2, eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.floats(0.1, 10.0),
+    ratio=st.floats(1.0, 30.0),
+    p=st.integers(1, 100),
+    w2=st.one_of(st.just(0.0), st.floats(0.5, 50.0)),
+    eps=st.floats(0.05, 5.0),
+    j=st.integers(-500, 500),
+)
+def test_counts_and_plans_are_homogeneous_in_the_curvature(m, ratio, p, w2, eps, j):
+    """With (m, M, w2, eps) scaled to (s m, s M, w2/sqrt(s), eps/sqrt(s)), s = 4**j, and the grid
+    to grid/s, both minimal counts and the plan's K are unchanged, and the plan's h and bound
+    scale by 1/s and 1/sqrt(s), for each j where the scaled inputs and outputs are normal floats."""
+    M = m * ratio
+    grid = default_h_grid(m, M, size=30, span=1e6)
+    counts, plan = _counts(m, M, p, w2, eps, grid)
+    for i in sorted({j, *range(-500, 501, 50)}):
+        s, r = 4.0**i, 2.0**i
+        if not _normal(s * m, s * M, s * m + s * M, 2.0 / (s * M), 2.0 / (s * m + s * M), grid[0] / s,
+                       (w2 / r) ** 2, (eps / r) ** 2, plan.h / s, plan.predicted_bound / r):
+            continue
+        got_counts, got_plan = _counts(s * m, s * M, p, w2 / r, eps / r, grid / s)
+        assert got_counts == counts, i
+        assert (got_plan.h, got_plan.K, got_plan.predicted_bound) == (plan.h / s, plan.K, plan.predicted_bound / r), i
+
+
 def test_figure1_reproduces_all_frozen_curves():
     pts = figure1_curves(4.0, 5.0, [0.1, 0.3], [10, 100, 1000, 10000])
     assert {(c.epsilon, c.p): (c.k_lmc, c.k_baseline) for c in pts} == FROZEN_CURVES
@@ -386,7 +428,7 @@ def test_seeded_counts_equal_bisection_over_a_fixed_input_set():
 
 
 def test_plan_names_the_dimension_when_it_makes_14_m2_p_overflow():
-    with pytest.raises(ValueError, match=r"dimension p=1e\+308 is too large to plan for: 14 M\^2 p overflows"):
+    with pytest.raises(ValueError, match=r"dimension p=1e\+308 is too large to plan for: 14 \(M/m\)\^2 p overflows"):
         plan_for_epsilon(1.0, 2.0, 1e308, 1.0, 0.5)
 
 
