@@ -15,10 +15,11 @@ here.
 A third, older bound in squared form is kept as ``baseline_bound`` for
 iteration-count comparisons.
 
-Every bound is homogeneous in the curvature: B(m, M, h, w2_init, sigma) =
-B(1, M/m, m h, sqrt(m) w2_init, sigma/sqrt(m)) / sqrt(m).  So each is
-evaluated where m = 1 and scaled back once, while the regime split, the
-step range and the sign of 2 - M h are decided on h, m and M as passed.
+Every bound is homogeneous in the curvature, B(m, M, h, w2_init, sigma) =
+B(1, M/m, m h, sqrt(m) w2_init, sigma/sqrt(m)) / sqrt(m).  Each is written in
+M/m, m h, M h, p/m and roots of h, m and M, never m^2 or m M, so scaling m, M
+by a power of four s, h by 1/s and w2_init, sigma by 1/sqrt(s), sqrt(s) divides
+it by exactly sqrt(s); the regime and the step range are decided as passed.
 
 Each bound has one array core (``lmc_core``, ``noisy_lmc_core``,
 ``baseline_value``) that broadcasts a step grid h of shape (n,) against
@@ -179,25 +180,22 @@ def _core(terms, m, M, h, K, p, w2_init, regime, *extra, closed: bool = False) -
     h = np.asarray(h, dtype=float)
     _check_step(h, M, closed)
     branch = _branch(m, M, h, regime)
-    # M/m or sigma/sqrt(m) may overflow, and where m h then underflows to 0 the bias is inf * 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if isinstance(branch, str):
-            gamma, bias = terms(m, M, h, p, *extra, branch)
-        else:
-            both = zip(terms(m, M, h, p, *extra, SMALL_STEP), terms(m, M, h, p, *extra, LARGE_STEP))
-            gamma, bias = (np.where(branch, small, large) for small, large in both)
-    bias = np.where(np.isnan(bias), np.inf, bias) if np.isnan(bias).any() else bias
+    if isinstance(branch, str):
+        gamma, bias = terms(m, M, h, p, *extra, branch)
+    else:
+        both = zip(terms(m, M, h, p, *extra, SMALL_STEP), terms(m, M, h, p, *extra, LARGE_STEP))
+        gamma, bias = (np.where(branch, small, large) for small, large in both)
     contraction = _power(gamma, K) * w2_init
     return contraction + bias, gamma, contraction, bias, branch
 
 
 def _lmc_terms(m, M, h, p, regime):
-    """(gamma, bias) of the exact-gradient bound in one regime, elementwise, evaluated where m = 1."""
+    """(gamma, bias) of the exact-gradient bound in one regime, elementwise."""
     if regime == SMALL_STEP:
         gamma, scale = 1.0 - m * h, M / m
     else:
         gamma, scale = M * h - 1.0, M * h / (2.0 - M * h)
-    return gamma, 1.82 / np.sqrt(m) * scale * np.sqrt(h * (m * p))  # m h p, with no second grid-sized array
+    return gamma, 1.82 * scale * np.sqrt(h * p)
 
 
 def lmc_core(m, M, h, K, p, w2_init, regime: str | None = None) -> tuple:
@@ -228,18 +226,16 @@ def lmc_core(m, M, h, K, p, w2_init, regime: str | None = None) -> tuple:
 
 
 def _noisy_terms(m, M, h, p, sigma, regime):
-    """(gamma, bias) of the noisy-gradient bound in one regime, evaluated where m = 1; inf bias where 2 - Mh <= 0.
+    """(gamma, bias) of the noisy-gradient bound in one regime; inf bias where 2 - Mh <= 0.
 
-    bias = sqrt(a) sqrt(p) hypot(sigma, sqrt(b)), so no part overflows where the bias does not.
-    """
-    mh, root, kappa, small = m * h, np.sqrt(m), M / m, regime == SMALL_STEP
-    if small:
-        gamma, a, root_b = 1.0 - mh / 2.0, 2.0 * mh, np.sqrt(3.3) * kappa
-    else:
+    Square roots are taken factor by factor, so no part overflows where the bias does not, unless M/sqrt(m) does."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if regime == SMALL_STEP:
+            root, root_p = np.sqrt(m), np.sqrt(1.0 * p)
+            return 1.0 - m * h / 2.0, np.sqrt(2.0 * h) / root * np.hypot(sigma, np.sqrt(3.3) * (M / root)) * root_p
         rest = 2.0 - M * h
-        gamma, a, root_b = M * h / 2.0, 2.0 * (mh * mh) / rest, np.sqrt(6.6 * kappa / rest)
-    bias = np.sqrt(a) * (np.sqrt(1.0 * p) / root) * np.hypot(sigma / root, root_b)
-    return gamma, bias if small else np.where(rest > 0.0, bias, np.inf)
+        bias = np.sqrt(2.0 * p / rest) * (h * np.hypot(sigma, np.sqrt(6.6 / rest) * np.sqrt(M)))
+    return M * h / 2.0, np.where(rest > 0.0, bias, np.inf)
 
 
 def noisy_lmc_core(m, M, h, K, p, w2_init, sigma, regime: str | None = None) -> tuple:
@@ -313,20 +309,15 @@ def noisy_lmc_bound(inputs: BoundInputs, regime: str | None = None) -> BoundRepo
     return _report(noisy_lmc_core(i.m, i.M, i.h, i.K, i.p, i.w2_init, i.sigma, regime))
 
 
-def _baseline_terms(m, M, h, p):
-    """(rate, floor) of the comparison bound, the floor where m = 1; it is linear in p."""
-    h = np.asarray(h, dtype=float)
-    kappa = M / m
-    s = 1.0 + kappa
-    # m h is formed where it is used: grid-sized arrays kept alive page-fault on every call
-    floor = M * h * p * s * (m * h + s / (2.0 * kappa))
-    floor *= 2.0 + kappa * kappa * (m * h) + kappa * kappa * (m * h) * (m * h) / 6.0
-    return 1.0 - M * h / s, floor
-
-
 def baseline_terms(m, M, h, p, w2_init):
     """(coef, rate, floor) with baseline_value**2 = coef * rate**K + floor, vectorized in h."""
-    return (2.0 * w2_init * w2_init, *_baseline_terms(m, M, h, p / m))  # p/m scales the floor back
+    # beyond this the contraction term is lost: rate**K underflows first or the product overflows
+    if not (coef := 2.0 * w2_init * w2_init) < math.inf:
+        raise ValueError(f"w2_init={w2_init:g} is too large for the comparison bound: 2 w2_init^2 overflows")
+    h, kappa = np.asarray(h, dtype=float), M / m
+    s = 1.0 + kappa
+    floor = M * h * p / m * s * (m * h + s / (2.0 * kappa)) * (2.0 + kappa * (M * h) + (M * h) * (M * h) / 6.0)
+    return coef, 1.0 - M * h / s, floor
 
 
 def baseline_value(m, M, h, K, p, w2_init):
@@ -339,18 +330,9 @@ def baseline_value(m, M, h, K, p, w2_init):
 
     and the square root is returned so units match the other bounds.
     """
-    root = math.sqrt(m)
-    # beyond this the contraction term is lost: rate**K underflows first or the product overflows
-    if not 2.0 * (w2 := root * w2_init) * w2 < math.inf:
-        raise ValueError(f"w2_init={w2_init:g} is too large for the comparison bound: 2 w2_init^2 overflows")
-    rate, floor = _baseline_terms(m, M, h, p)
-    # 2 * rate**K * w2^2 in this order, not coef * rate**K: same rounding as the stated form.  In
-    # place on _power's fresh array: a (K, h) grid's temporaries cost more than its arithmetic
-    value = _power(rate, K)
-    for factor in (2.0, w2, w2):
-        value *= factor
-    value += floor
-    return np.divide(np.sqrt(value, out=value), root, out=value)
+    _, rate, floor = baseline_terms(m, M, h, p, w2_init)
+    # 2 * rate**K * w2^2 in this order, not coef * rate**K: same rounding as the stated form
+    return np.sqrt(2.0 * _power(rate, K) * w2_init * w2_init + floor)
 
 
 def baseline_bound(inputs: BoundInputs) -> float:

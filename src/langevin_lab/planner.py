@@ -97,21 +97,6 @@ def _check_common(m, M, p, w2_init, epsilon) -> tuple[float, float, int, float, 
     return m, M, count("dimension p", p, 1), nonnegative("w2_init", w2_init), positive("epsilon", epsilon)
 
 
-def _step_grid(hi: float, top: float, kappa: float, size, span, named: str) -> np.ndarray:
-    """Geometric grid of size steps over (hi/span, hi], refused where hi is not below top = 2/M."""
-    size, span = count("grid size", size, 2), finite("grid span", span)
-    if not span > 1.0:
-        raise ValueError(f"grid span must exceed 1, got {span}")
-    if not hi < top:  # the top step would be 2/M, where no bound is stated
-        raise ValueError(f"M/m = {kappa:g} is too large for a step grid: 2/(m+M) rounds to 2/M")
-    if not hi / span > 0.0:
-        raise ValueError(f"the smallest grid step 2/((m+M) span) underflows to 0 ({named}, span={span:g})")
-    try:
-        return np.geomspace(hi / span, hi, size)
-    except (ValueError, MemoryError) as err:  # beyond numpy's size limit, or the address space
-        raise ValueError(f"grid size={size} is too large to hold: {err}") from None
-
-
 def default_h_grid(
     m: float, M: float, size: int = DEFAULT_GRID_SIZE, span: float = DEFAULT_GRID_SPAN
 ) -> np.ndarray:
@@ -122,10 +107,20 @@ def default_h_grid(
     stay reachable in high dimension.
     """
     m, M = curvature(m, M)
+    size, span = count("grid size", size, 2), finite("grid span", span)
+    if not span > 1.0:
+        raise ValueError(f"grid span must exceed 1, got {span}")
     hi = 2.0 / (m + M)
     if math.isinf(hi):
         raise ValueError(f"m={m!r} and M={M!r} are too small for a step grid: 2/(m+M) overflows")
-    return _step_grid(hi, 2.0 / M, M / m, size, span, f"m={m:g}, M={M:g}")
+    if not hi < 2.0 / M:  # the top step would be 2/M, where no bound is stated
+        raise ValueError(f"M/m = {M / m:g} is too large for a step grid: 2/(m+M) rounds to 2/M (m={m:g}, M={M:g})")
+    if not hi / span > 0.0:
+        raise ValueError(f"the smallest grid step 2/((m+M) span) underflows to 0 (m={m:g}, M={M:g}, span={span:g})")
+    try:
+        return np.geomspace(hi / span, hi, size)
+    except (ValueError, MemoryError) as err:  # beyond numpy's size limit, or the address space
+        raise ValueError(f"grid size={size} is too large to hold: {err}") from None
 
 
 def plan_for_epsilon(m: float, M: float, p: int, w2_init: float, epsilon: float) -> Plan:
@@ -279,9 +274,8 @@ def figure1_curves(
 
     For each (epsilon, p) the start is placed at squared distance p from
     the mode, giving w2_init = sqrt(p + p/m) through the mean-based
-    initial bound, and both planners search the same step grid, all
-    where m = 1 (see bounds): M/m, sqrt(m) w2_init and sqrt(m) epsilon
-    on the grid over (2/((1+M/m) span), 2/(1+M/m)].  Either
+    initial bound, and both planners search the same step grid where m = 1
+    (see bounds), with M/m, sqrt(m) w2_init and sqrt(m) epsilon.  Either
     count may be the smaller one: k_lmc <= k_baseline is not a theorem,
     since the additive bound's bias exceeds the squared form's once M/m
     is above about 1.22 (m=2, M=7, eps=0.1, p=3 gives 40,123 against
@@ -293,10 +287,14 @@ def figure1_curves(
         raise ValueError(f"the {'dimension p' if eps_list else 'epsilon'} list must be nonempty")
     m, M = curvature(m, M)
     kappa, root = M / m, math.sqrt(m)
-    grid = _step_grid(2.0 / (1.0 + kappa), 2.0 / kappa, kappa, grid_size, span, f"M/m={kappa:g}")
+    if not 2.0 / (1.0 + kappa) < 2.0 / kappa:  # the top step would be 2/M, where no bound is stated
+        raise ValueError(f"M/m = {kappa:g} is too large for a step grid: 2/(m+M) rounds to 2/M (m={m:g}, M={M:g})")
+    grid = default_h_grid(1.0, kappa, size=grid_size, span=span)
 
     def solve(point: tuple[float, int]) -> CurvePoint:
         eps, p = point
+        if not 2.0 * (m * p + p) < math.inf:  # the comparison bound's 2 (sqrt(m) w2_init)^2
+            raise ValueError(f"m={m:g} and dimension p={p} are too large for figure1: 2 (m p + p) overflows")
         # no finite bound exceeds the largest float, which stands in for an overflowing sqrt(m) eps
         w2, unit_eps = init_w2_from_mean(m * p, p, 1.0), min(root * eps, np.finfo(float).max)
         try:

@@ -325,6 +325,9 @@ EXIT_RULE = [
      "epsilon=0.1 is too small to plan for: the step h = eps^2 / (14 (M/m)^2 p) = 7.14286e-05"),
     (["figure1", "--m", "1e-310", "--M", "1e-308", "--eps", "0.1", "--p-values", "3", "--out", "fig.csv"], 1,
      "precision epsilon=0.1 is unreachable"),
+    # huge curvature whose start, placed at squared distance p, puts 2 m w2_init^2 beyond the floats
+    (["figure1", "--m", "1e308", "--M", "1e308", "--eps", "0.1", "--p-values", "10", "--out", "fig.csv"], 2,
+     "m=1e+308 and dimension p=10 are too large for figure1"),
 ]
 
 
@@ -349,6 +352,21 @@ def test_exit_rule(argv, code, message, quad_target_file, tmp_path, monkeypatch,
 def test_baseline_bound_at_extreme_curvature(argv, value, capsys):
     assert main(["bound", "--kind", "baseline", "--K", "10", "--p", "3"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+# each bound's parts are formed from h, sigma and w2_init as passed, so a step, noise level or
+# start the floats hold gives the bound as stated, even where m h or sigma/sqrt(m) would not
+@pytest.mark.parametrize("argv, key, value", [
+    (["--kind", "lmc", "--m", "1e-300", "--M", "1e-300", "--h", "1e-30", "--K", "10", "--w2init", "1"],
+     "bias_term", 1.82 * math.sqrt(3e-30)),
+    (["--kind", "noisy", "--m", "1e-300", "--M", "1e-300", "--h", "1e-30", "--K", "1", "--w2init", "1",
+      "--sigma", "1e160"], "value", math.sqrt(2.0) * 1e295),
+    (["--kind", "baseline", "--m", "100", "--M", "100", "--h", "0.01", "--K", "10", "--w2init", "1e153"],
+     "value", 1e153 * math.sqrt(2.0 / 1024.0)),
+])
+def test_bound_keeps_the_stated_value_where_the_scaled_parts_leave_the_floats(argv, key, value, capsys):
+    assert main(["bound", "--p", "1" if "noisy" in argv else "3"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)[key] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_figure1_at_huge_curvature_counts_as_at_unit_curvature(tmp_path):
