@@ -2,7 +2,7 @@
 """Cross-check the sample CSV float encoder against Python's repr at scale.
 
 Draws N float64 values in blocks of 100 x 100, encodes each block with
-langevin_lab._floattext.encode_rows and compares the text with the lines
+langevin_lab.outputs.encode_rows and compares the text with the lines
 it stands in for, f"{i}," + ",".join(map(repr, row)) + "\\n".  Blocks
 rotate through three kinds of values: uniform random bit patterns (every
 sign, exponent and class), random bit patterns whose exponent lies in or
@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from langevin_lab._floattext import encode_rows
+from langevin_lab.outputs import encode_rows
 
 ROWS, COLS = 100, 100
 

@@ -232,7 +232,10 @@ def _noisy_terms(m, M, h, p, sigma, regime):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if regime == SMALL_STEP:
             root, root_p = np.sqrt(m), np.sqrt(1.0 * p)
-            return 1.0 - m * h / 2.0, np.sqrt(2.0 * h) / root * np.hypot(sigma, np.sqrt(3.3) * (M / root)) * root_p
+            lead, noise = np.sqrt(2.0 * h) / root, np.hypot(sigma, np.sqrt(3.3) * (M / root))
+            # lead is subnormal only at a subnormal h: there it is formed 2**52 times larger, scaled back last
+            scaled = np.sqrt(2.0**105 * h) / root * noise * root_p * 2.0**-52
+            return 1.0 - m * h / 2.0, np.where(lead < np.finfo(float).tiny, scaled, lead * noise * root_p)
         rest = 2.0 - M * h
         bias = np.sqrt(2.0 * p / rest) * (h * np.hypot(sigma, np.sqrt(6.6 / rest) * np.sqrt(M)))
     return M * h / 2.0, np.where(rest > 0.0, bias, np.inf)
@@ -342,7 +345,11 @@ def baseline_bound(inputs: BoundInputs) -> float:
         raise ValueError(
             f"the comparison bound requires 0 < h <= 2/(m+M) = {i.boundary:.6g}, got h={i.h}"
         )
-    return float(baseline_value(i.m, i.M, i.h, i.K, i.p, i.w2_init))
+    with np.errstate(over="ignore"):
+        value = float(baseline_value(i.m, i.M, i.h, i.K, i.p, i.w2_init))
+        if value == math.inf:  # W2^2 overflows: scaling p by 4**-256 and w2_init by 2**-256 scales it by 4**-256
+            value = 2.0**256 * float(baseline_value(i.m, i.M, i.h, i.K, i.p * 2.0**-512, i.w2_init * 2.0**-256))
+    return value
 
 
 def init_w2_from_mean(dist2_to_mean: float, p: int, m: float) -> float:

@@ -11,6 +11,7 @@ Subcommands:
 Every file-producing subcommand writes a ``<output>.manifest.json``
 next to its outputs with the parameters, wall time, and sha256 digest
 of each file, so results can be traced back to the exact invocation.
+Every file, manifests included, is written by ``outputs``.
 Exit codes, set in main alone: 0 on success, 2 for a ValueError (a value
 the library refuses; one about a target file starts with its path), 1
 for anything else, such as an unreachable precision or a diverging chain.
@@ -19,8 +20,6 @@ for anything else, such as an unreachable precision or a diverging chain.
 from __future__ import annotations
 
 import functools
-import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -43,8 +42,9 @@ __getattr__ = _lazy_getattr(globals(), {
     "bounds": ("BoundInputs", "baseline_bound", "lmc_bound", "noisy_lmc_bound"),
     "planner": ("DEFAULT_GRID_SIZE", "DEFAULT_GRID_SPAN", "UnreachablePrecisionError", "figure1_curves",
                 "plan_for_epsilon"),
+    "outputs": ("json_text", "write_figure1_csv", "write_json", "write_manifest", "write_theta_csv"),
     "sampler": ("GradientOracle", "LmcConfig", "final_states", "run_lmc", "run_nlmc", "trajectory_to_csv",
-                "write_trajectory", "_replacing", "_write_theta_csv"),
+                "write_trajectory"),
     "targets": ("load_target",),
     "validation": ("run_all_checks",),
 })
@@ -61,54 +61,13 @@ def _list_of(convert):
     return convert_list
 
 
-def _sha256(path: Path) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
-    buf = bytearray(1 << 16)  # one fixed 64 KB buffer, whatever the file size
-    view = memoryview(buf)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            digest.update(view[:n])
-    return digest.hexdigest()
-
-
-def _write_manifest(anchor: Path, args: argparse.Namespace, outputs: list[Path], started: float) -> Path:
-    """Write <anchor>.manifest.json: every parsed flag but --out, wall time and output digests."""
-    manifest = {
-        "tool": "langevin-lab",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "parameters": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "out")},
-        "wall_time_s": round(time.perf_counter() - started, 6),
-        "outputs": [
-            {"path": out.name, "sha256": _sha256(out)} for out in outputs
-        ],
-    }
-    return _write_json(anchor.with_name(anchor.name + ".manifest.json"), manifest)
-
-
-def _json_text(payload: dict) -> str:
-    """payload as indented strict JSON: a non-finite float, such as an infinite bound, is null."""
-    # a float's repr reads back as the same float, so only Infinity, -Infinity and NaN change
-    strict = json.loads(json.dumps(payload), parse_constant=lambda constant: None)
-    return json.dumps(strict, indent=2, allow_nan=False)
-
-
-def _write_json(path: Path, payload: dict) -> Path:
-    """Write payload to path as _json_text (see _replacing) and return path."""
-    with _cli._replacing(path) as fh:
-        fh.write(_json_text(payload) + "\n")
-    return path
-
-
 def _emit_json(args: argparse.Namespace, payload: dict, started: float) -> int:
-    """Print payload as _json_text and, with --out, also write it there with its manifest."""
-    print(_json_text(payload))
+    """Print payload as strict JSON and, with --out, also write it there with its manifest."""
+    print(_cli.json_text(payload))
     if args.out is not None:
         out = Path(args.out)
-        _write_json(out, payload)
-        _write_manifest(out, args, [out], started)
+        _cli.write_json(out, payload)
+        _cli.write_manifest(out, args, [out], started)
     return 0
 
 
@@ -132,7 +91,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             ran = f"{config.K} steps, dim {target.dim}"
         else:
             finals = _cli.final_states(target, config, initial, args.replicas)
-            _cli._write_theta_csv(out, "replica", finals, target.dim)
+            _cli.write_theta_csv(out, "replica", finals, target.dim)
             summary = {
                 "dim": target.dim,
                 "iterations": config.K,
@@ -148,8 +107,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise FloatingPointError(
             f"{exc} (--h {args.h!r}; the chain is stable only for h < 2/M = {2.0 / target.M:.6g})"
         ) from None
-    summary_path = _write_json(out.with_name(out.stem + ".summary.json"), summary)
-    manifest = _write_manifest(out, args, [out, summary_path], started)
+    summary_path = _cli.write_json(out.with_name(out.stem + ".summary.json"), summary)
+    manifest = _cli.write_manifest(out, args, [out, summary_path], started)
     print(f"wrote {out} and {summary_path} ({ran}); manifest {manifest}")
     return 0
 
@@ -189,17 +148,8 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         span=args.span,
     )
     out = Path(args.out)
-    header = "p,epsilon,k_lmc,k_baseline,log10_k_lmc,log10_k_baseline,ratio"
-    with _cli._replacing(out) as fh:
-        fh.write(header + "\n")
-        for point in points:
-            log_l = math.log10(point.k_lmc) if point.k_lmc > 0 else math.nan
-            log_b = math.log10(point.k_baseline) if point.k_baseline > 0 else math.nan
-            fh.write(
-                f"{point.p},{point.epsilon!r},{point.k_lmc},{point.k_baseline},"
-                f"{log_l!r},{log_b!r},{point.ratio!r}\n"
-            )
-    manifest = _write_manifest(out, args, [out], started)
+    _cli.write_figure1_csv(out, points)
+    manifest = _cli.write_manifest(out, args, [out], started)
     print(f"wrote {out} ({len(points)} points); manifest {manifest}")
     return 0
 

@@ -21,40 +21,23 @@ checks at the end of each block that every state is still finite.
 from __future__ import annotations
 
 import math
-import os
-import stat
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from ._scalars import array, choice, count, nonnegative, positive
+from .outputs import RunSummary, write_theta_csv
 from .parallel import parallel_map
 from .targets import TargetPotential
 
 __all__ = [
-    "XI_STREAM",
-    "ZETA_STREAM",
-    "INIT_STREAM",
-    "noise_stream",
-    "GradientOracle",
-    "LmcConfig",
-    "Trajectory",
-    "lmc_step",
-    "oracle_gradient",
-    "run_lmc",
-    "run_nlmc",
-    "run_tempered_lmc",
-    "gradient_descent",
-    "final_states",
-    "trajectory_to_csv",
-    "trajectory_summary",
-    "write_trajectory",
+    "XI_STREAM", "ZETA_STREAM", "INIT_STREAM", "noise_stream", "GradientOracle", "LmcConfig", "Trajectory",
+    "lmc_step", "oracle_gradient", "run_lmc", "run_nlmc", "run_tempered_lmc", "gradient_descent",
+    "final_states", "trajectory_to_csv", "trajectory_summary", "write_trajectory",
 ]
 
 XI_STREAM = 0
@@ -445,104 +428,14 @@ def final_states(
     return out
 
 
-@contextmanager
-def _replacing(path) -> Iterator[TextIO]:
-    """Text file whose contents replace path only when the block succeeds.
-
-    Writes go to the sibling path + ".partial", which os.replace then
-    moves onto path (through symlinks, keeping an existing file's mode);
-    on any failure only that file is removed, so an existing path keeps
-    its bytes.  A path that exists but cannot be opened for writing fails
-    first, and a failed open names path as given, as a plain open would.
-    """
-    try:
-        with open(path, "rb+") as existing:  # neither creates nor truncates
-            mode = os.fstat(existing.fileno()).st_mode
-    except FileNotFoundError:
-        mode = None
-    real = os.path.realpath(path)
-    partial = Path(real + ".partial")
-    try:
-        fh = open(partial, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:  # name the path as given, not its resolved .partial
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with fh:
-            yield fh
-        if mode is not None:
-            os.chmod(partial, stat.S_IMODE(mode))
-        os.replace(partial, real)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
-def _write_theta_csv(path, index: str, rows: Iterable[np.ndarray], dim: int) -> None:
-    """CSV with header index,theta_0,...,theta_{dim-1}; line i is i, then rows[i] by repr.
-
-    Rows are taken and encoded (_floattext) in blocks of about
-    _NOISE_BUDGET values, so memory does not grow with their number.
-    The file appears at path only once every row is written (_replacing).
-    """
-    from ._floattext import encode_rows
-
-    size = max(1, _NOISE_BUDGET // dim)
-    with _replacing(path) as fh:
-        fh.write(index + "," + ",".join(f"theta_{j}" for j in range(dim)) + "\n")
-        if isinstance(rows, np.ndarray):  # already in memory: encode slices of it
-            for first in range(0, len(rows), size):
-                fh.write(encode_rows(rows[first : first + size], first))
-            return
-        rows, first = iter(rows), 0
-        while len(block := np.fromiter(islice(rows, size), np.dtype((float, dim)))):
-            fh.write(encode_rows(block, first))
-            first += len(block)
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write iterates as CSV with header k,theta_0,...,theta_{p-1}.
-
-    Floats are written with repr so the file round-trips bit for bit.
-    """
-    _write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
-
-
-class _RunSummary:
-    """A run's JSON-ready summary from its n states fed one at a time.
-
-    The path mean sums the rows in order from +0.0 and divides by n.
-    """
-
-    def __init__(self, n: int, p: int) -> None:
-        self.n, self.last, self._sum = n, None, np.zeros(p)
-
-    def add(self, row: np.ndarray) -> np.ndarray:
-        """Take the next state and return it unchanged."""
-        self.last = row
-        self._sum += row
-        return row
-
-    def summary(self, config: LmcConfig, replica: int, wall_time: float, tau: Optional[float] = None) -> dict:
-        summary = {
-            "dim": self._sum.size,
-            "iterations": self.n - 1,
-            "h": config.h,
-            "seed": config.seed,
-            "oracle": config.oracle.mode,
-            "sigma": config.oracle.sigma,
-            "replica": replica,
-            "wall_time_s": wall_time,
-            "final": [float(x) for x in self.last],
-            "path_mean": [float(x) for x in self._sum / self.n],
-        }
-        if tau is not None:
-            summary["tau"] = tau
-        return summary
+    """Write iterates as CSV with header k,theta_0,...,theta_{p-1}, by repr, so it round-trips bit for bit."""
+    write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
     """JSON-ready run summary: config echo, final state, per-coordinate path means."""
-    run = _RunSummary(*traj.iterates.shape)
+    run = RunSummary(*traj.iterates.shape)
     for row in traj.iterates:
         run.add(row)
     return run.summary(traj.config, traj.replica, traj.wall_time, traj.tau)
@@ -561,7 +454,7 @@ def write_trajectory(target: TargetPotential, config: LmcConfig, initial: Initia
     t0 = time.perf_counter()
     _check_step_size(config.h, target)
     theta = _resolve_initial(initial, target, config.seed, 0)
-    run = _RunSummary(config.K + 1, target.dim)
+    run = RunSummary(config.K + 1, target.dim)
     states = chain([theta], _lmc(target, config, theta, range(1)))
-    _write_theta_csv(path, "k", map(run.add, states), target.dim)
+    write_theta_csv(path, "k", map(run.add, states), target.dim)
     return run.summary(config, 0, time.perf_counter() - t0)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -454,6 +455,17 @@ def test_noisy_bias_is_finite_where_only_its_parts_overflow(inputs, bias):
     grid = noisy_lmc_core(inputs.m, inputs.M, hs, inputs.K, inputs.p, inputs.w2_init, inputs.sigma)[3]
     for h, b in zip(hs, grid):  # scalar and grid values still agree to the last bit
         assert noisy_lmc_bound(BoundInputs(**{**vars(inputs), "h": float(h)})).bias_term == b
+
+
+def test_noisy_bias_at_a_subnormal_step_matches_a_50_digit_evaluation():
+    # sqrt(2h)/sqrt(m) is subnormal here; formed as such it cost the bias 5.65e-10 of its value
+    m, M, h, p, sigma = 1.28e306, 6.83e306, 5e-324, 18999, 1.32e154
+    got = noisy_lmc_bound(BoundInputs(m=m, M=M, h=h, K=0, p=p, w2_init=0.0, sigma=sigma)).bias_term
+    with decimal.localcontext() as context:
+        context.prec = 50
+        m, M, h, sigma = map(decimal.Decimal, (m, M, h, sigma))
+        want = (2 * h * p / m * (sigma * sigma + decimal.Decimal("3.3") * M * M / m)).sqrt()
+    assert abs(decimal.Decimal(got) - want) <= decimal.Decimal("1e-14") * want, (got, want)
 
 
 def test_noisy_bias_overflows_only_where_its_true_value_does():

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import subprocess_env
 from langevin_lab import __version__
-from langevin_lab.cli import _json_text, build_parser, main
+from langevin_lab.cli import build_parser, main
+from langevin_lab.outputs import json_text
 from langevin_lab.sampler import GradientOracle, LmcConfig, final_states, run_lmc
 from langevin_lab.gaussian_oracle import gaussian_w2, moments_after_k, stationary_moments, w2_init_exact
 from langevin_lab.planner import CurvePoint
@@ -159,8 +160,8 @@ class TestBoundCommand:
     def test_json_text_nulls_every_non_finite_float(self):
         # a summary's path_mean can hold an inf where its in-order sum overflows
         payload = {"path_mean": [1.5, math.inf, {"v": np.float64("nan")}], "t": (-math.inf, 2), "s": "x", "b": True}
-        assert json.loads(_json_text(payload)) == {"path_mean": [1.5, None, {"v": None}], "t": [None, 2],
-                                                   "s": "x", "b": True}
+        assert json.loads(json_text(payload)) == {"path_mean": [1.5, None, {"v": None}], "t": [None, 2],
+                                                  "s": "x", "b": True}
 
     def test_out_of_range_step_returns_two(self, capsys):
         code = main(["bound", "--kind", "lmc", "--m", "4", "--M", "5",
@@ -367,6 +368,14 @@ def test_baseline_bound_at_extreme_curvature(argv, value, capsys):
 def test_bound_keeps_the_stated_value_where_the_scaled_parts_leave_the_floats(argv, key, value, capsys):
     assert main(["bound", "--p", "1" if "noisy" in argv else "3"] + argv) == 0
     assert json.loads(capsys.readouterr().out)[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_baseline_bound_whose_square_leaves_the_floats_prints_its_root(capsys):
+    # W2^2 is about 3.8e309, W2 (a 50-digit evaluation) about 6.1745445176142348e154
+    argv = ["--m", "1e-300", "--M", "1e-300", "--h", "5e299", "--K", "1", "--p", "1000000000", "--w2init", "1"]
+    assert main(["bound", "--kind", "baseline", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["value"] == pytest.approx(6.1745445176142348e154, rel=1e-14, abs=0.0) and err == ""
 
 
 def test_figure1_at_huge_curvature_counts_as_at_unit_curvature(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import philox
-from langevin_lab import _floattext, sampler as sampler_mod
-from langevin_lab._floattext import encode_rows
+from langevin_lab import outputs
+from langevin_lab.outputs import encode_rows
 
 
 def reference(block: np.ndarray, first: int) -> str:
@@ -61,7 +61,7 @@ def test_edge_values_match_repr():
 def test_non_short_repr_style_writes_every_value_by_repr(monkeypatch):
     calls = []
     monkeypatch.setattr(sys, "float_repr_style", "legacy")
-    monkeypatch.setattr(_floattext, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    monkeypatch.setattr(outputs, "repr", lambda x: calls.append(x) or repr(x), raising=False)
     block = np.array([[0.1, -2.5, 1e-7], [3.0, 1e20, 0.0001234]])
     assert encode_rows(block, 5) == reference(block, 5)
     assert len(calls) == block.size
@@ -70,8 +70,8 @@ def test_non_short_repr_style_writes_every_value_by_repr(monkeypatch):
 @pytest.mark.parametrize("as_array", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_csv_rows_are_numbered_across_blocks(as_array, n, tmp_path, monkeypatch):
-    monkeypatch.setattr(sampler_mod, "_NOISE_BUDGET", 7)  # blocks of 7 // 3 = 2 rows
+    monkeypatch.setattr(outputs, "_BLOCK_VALUES", 7)  # blocks of 7 // 3 = 2 rows
     rows = philox(5).standard_normal((n, 3)) * [1.0, 1e-6, 1e17]
     path = tmp_path / "rows.csv"
-    sampler_mod._write_theta_csv(path, "k", rows if as_array else iter(list(rows)), 3)
+    outputs.write_theta_csv(path, "k", rows if as_array else iter(list(rows)), 3)
     assert path.read_text() == "k,theta_0,theta_1,theta_2\n" + reference(rows, 0)

@@ -1,8 +1,9 @@
-"""Every output file is written through sampler._replacing, so it appears only when complete.
+"""Every output file is written by the outputs module, through _replacing, so it appears only when complete.
 
-The check reads the package's source with ast: a write_text or
+The checks read the package's source with ast: a write_text or
 write_bytes call, or an open() in a mode that can write, anywhere but
-inside _replacing would be a second writer.
+inside outputs._replacing would be a second writer; and the chains in
+sampler and the commands in cli leave files to outputs.
 """
 
 import ast
@@ -55,8 +56,28 @@ def test_no_output_is_written_outside_replacing():
 
 
 def test_the_check_sees_the_writes_inside_replacing():
-    sampler = next(path for path in SOURCES if path.name == "sampler.py")
-    assert [call for _, call in writers(sampler, allowed="")] == ["open mode 'rb+'", "open mode 'w'"]
+    outputs = next(path for path in SOURCES if path.name == "outputs.py")
+    assert [call for _, call in writers(outputs, allowed="")] == ["open mode 'rb+'", "open mode 'w'"]
+
+
+def source(name: str) -> ast.Module:
+    return ast.parse(next(path for path in SOURCES if path.name == name).read_text(encoding="utf-8"))
+
+
+def test_sampler_opens_no_file_and_cli_takes_no_private_sampler_name():
+    sampler = list(ast.walk(source("sampler.py")))
+    assert not [node.lineno for node in sampler if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "open"]
+    imported = {alias.name.split(".")[0] for node in sampler if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in sampler if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"os", "stat"}, imported
+    # the names cli takes from sampler: its lazy table's "sampler" entry and any sampler.<name>
+    taken = [name.value for node in ast.walk(source("cli.py")) if isinstance(node, ast.Dict)
+             for key, names in zip(node.keys, node.values) if getattr(key, "value", None) == "sampler"
+             for name in ast.walk(names) if isinstance(name, ast.Constant)]
+    taken += [node.attr for node in ast.walk(source("cli.py")) if isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) in ("sampler", "sampler_mod")]
+    assert taken and not [name for name in taken if name.startswith("_")], taken
 
 
 def test_the_check_reads_every_form_of_open():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import langevin_lab.outputs as outputs_mod
 import langevin_lab.parallel as parallel_mod
 import langevin_lab.sampler as sampler_mod
 from langevin_lab.sampler import (
@@ -567,6 +568,7 @@ def test_streamed_trajectory_equals_the_recorded_one(p, K, seed, oracle, budget,
         cfg, runner = LmcConfig(h=0.1, K=K, seed=seed, oracle=law), run_nlmc
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
+        mp.setattr(outputs_mod, "_BLOCK_VALUES", budget)  # CSV blocks of budget // p rows
         streamed = sampler_mod.write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv")
     traj = runner(target, cfg, np.full(p, -0.5))
     trajectory_to_csv(traj, tmp / "recorded.csv")
@@ -582,7 +584,7 @@ def test_path_mean_is_the_in_order_row_sum(n, p, seed):
     # every p sums rows in order from +0.0; numpy's mean does so only for p > 1
     r = np.random.Generator(np.random.Philox(key=[seed, 3]))
     rows = r.standard_normal((n, p)) * np.exp(4.0 * r.standard_normal((n, p)))
-    run = sampler_mod._RunSummary(n, p)
+    run = outputs_mod.RunSummary(n, p)
     total = np.zeros(p)
     for row in rows:
         run.add(row)
@@ -651,7 +653,7 @@ class TestCsvReplacement:
         def refuse(src, dst):
             raise PermissionError("no")
 
-        monkeypatch.setattr(sampler_mod.os, "replace", refuse)
+        monkeypatch.setattr(outputs_mod.os, "replace", refuse)
         with pytest.raises(PermissionError):
             sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
         assert out.read_text() == "previous run\n"

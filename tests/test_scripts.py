@@ -14,6 +14,7 @@ RUNS = {
     "noise_floor_sweep.py": ["--K", "20", "--replicas", "500", "--sigmas", "0,1"],
     "power_crosscheck.py": ["--n", "40000", "--seed", "0"],
     "expit_crosscheck.py": ["--n", "40000", "--seed", "0"],
+    "float_text_crosscheck.py": ["--n", "40000", "--seed", "0"],
 }
 
 
@@ -31,3 +32,4 @@ def test_experiment_scripts_exit_zero():
     assert "ratio range: 1.000 .. inf" in outputs["iteration_ratio_table.py"]
     assert "identical to np.power" in outputs["power_crosscheck.py"]
     assert "within 4 ulps of scipy" in outputs["expit_crosscheck.py"]
+    assert "40000 values, seed 0: identical to repr" in outputs["float_text_crosscheck.py"]
