@@ -339,16 +339,18 @@ def baseline_value(m, M, h, K, p, w2_init):
 
 
 def baseline_bound(inputs: BoundInputs) -> float:
-    """Scalar comparison bound; only stated for h <= 2/(m + M)."""
+    """Scalar comparison bound; only stated for h <= 2/(m + M), and refused where floats cannot hold its parts."""
     i = inputs
     if not (0.0 < i.h <= i.boundary):
         raise ValueError(
             f"the comparison bound requires 0 < h <= 2/(m+M) = {i.boundary:.6g}, got h={i.h}"
         )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         value = float(baseline_value(i.m, i.M, i.h, i.K, i.p, i.w2_init))
-        if value == math.inf:  # W2^2 overflows: scaling p by 4**-256 and w2_init by 2**-256 scales it by 4**-256
-            value = 2.0**256 * float(baseline_value(i.m, i.M, i.h, i.K, i.p * 2.0**-512, i.w2_init * 2.0**-256))
+    # past the largest float the square is lost, and a subnormal M h or M h p / m would round the floor down
+    if not value < math.inf or min(i.M * i.h, i.M * i.h * i.p / i.m) < np.finfo(float).tiny:
+        raise ValueError(f"the comparison bound cannot be evaluated in floats at m={i.m!r}, M={i.M!r}, "
+                         f"h={i.h!r}, K={i.K}, p={i.p}: W2^2 or M/m overflows, or M h or M h p / m is subnormal")
     return value
 
 

@@ -202,9 +202,13 @@ def write_figure1_csv(path, points: Iterable) -> None:
     """figure1's CSV, a line per planner.CurvePoint; the log10 of a zero count is nan."""
     with _replacing(path) as fh:
         fh.write("p,epsilon,k_lmc,k_baseline,log10_k_lmc,log10_k_baseline,ratio\n")
-        for pt in points:
-            log_l, log_b = (math.log10(k) if k > 0 else math.nan for k in (pt.k_lmc, pt.k_baseline))
-            fh.write(f"{pt.p},{pt.epsilon!r},{pt.k_lmc},{pt.k_baseline},{log_l!r},{log_b!r},{pt.ratio!r}\n")
+        for point in points:
+            log_l = math.log10(point.k_lmc) if point.k_lmc > 0 else math.nan
+            log_b = math.log10(point.k_baseline) if point.k_baseline > 0 else math.nan
+            fh.write(
+                f"{point.p},{point.epsilon!r},{point.k_lmc},{point.k_baseline},"
+                f"{log_l!r},{log_b!r},{point.ratio!r}\n"
+            )
 
 
 class RunSummary:
@@ -274,6 +278,8 @@ def write_manifest(anchor: Path, args, outputs: list[Path], started: float) -> P
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in vars(args).items() if k not in ("subcommand", "func", "out")},
         "wall_time_s": round(time.perf_counter() - started, 6),
-        "outputs": [{"path": out.name, "sha256": _sha256(out)} for out in outputs],
+        "outputs": [
+            {"path": out.name, "sha256": _sha256(out)} for out in outputs
+        ],
     }
     return write_json(anchor.with_name(anchor.name + ".manifest.json"), manifest)

@@ -35,9 +35,23 @@ from .parallel import parallel_map
 from .targets import TargetPotential
 
 __all__ = [
-    "XI_STREAM", "ZETA_STREAM", "INIT_STREAM", "noise_stream", "GradientOracle", "LmcConfig", "Trajectory",
-    "lmc_step", "oracle_gradient", "run_lmc", "run_nlmc", "run_tempered_lmc", "gradient_descent",
-    "final_states", "trajectory_to_csv", "trajectory_summary", "write_trajectory",
+    "XI_STREAM",
+    "ZETA_STREAM",
+    "INIT_STREAM",
+    "noise_stream",
+    "GradientOracle",
+    "LmcConfig",
+    "Trajectory",
+    "lmc_step",
+    "oracle_gradient",
+    "run_lmc",
+    "run_nlmc",
+    "run_tempered_lmc",
+    "gradient_descent",
+    "final_states",
+    "trajectory_to_csv",
+    "trajectory_summary",
+    "write_trajectory",
 ]
 
 XI_STREAM = 0
@@ -429,7 +443,10 @@ def final_states(
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write iterates as CSV with header k,theta_0,...,theta_{p-1}, by repr, so it round-trips bit for bit."""
+    """Write iterates as CSV with header k,theta_0,...,theta_{p-1}.
+
+    Floats are written with repr so the file round-trips bit for bit.
+    """
     write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
 
 

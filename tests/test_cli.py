@@ -280,6 +280,7 @@ class TestSampleCommand:
 # main's one exit rule: a ValueError from the library exits 2 with its message,
 # an unreachable precision and every other failure exit 1
 BOUND = ["bound", "--kind", "baseline", "--m", "1", "--M", "2", "--h", "0.5", "--K", "2000", "--p", "1"]
+BASELINE = ["bound", "--kind", "baseline", "--K", "1"]
 EXIT_RULE = [
     (BOUND + ["--w2init", "1e308"], 2, "w2_init=1e+308 is too large"),
     (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "0.3", "--w2init", "1e308"], 2, "w2_init=1e+308"),
@@ -287,6 +288,13 @@ EXIT_RULE = [
     (["plan", "--m", "4", "--M", "5", "--p", "10", "--eps", "1e-320", "--w2init", "1"], 2,
      "epsilon=1e-320 is too small to plan for: 2 w2_init / epsilon overflows"),
     (["figure1", "--span", "1", "--out", "fig.csv"], 2, "grid span must exceed 1"),
+    # the comparison bound's square is about 3.8e309, 5e407 and 5e499, though its root is a double each time
+    *(([*BASELINE, "--m", m, "--M", M, "--h", h, "--p", p, "--w2init", "1"], 2, "W2^2 or M/m overflows, or M h")
+      for m, M, h, p in [("1e-300", "1e-300", "5e299", "1000000000"), ("1e-250", "1", "1e-171", "1"),
+                         ("1e-300", "1e-200", "1e200", "1")]),
+    # a subnormal M h or M h p / m rounds the floor down: the bound came out 0 for 1, and 11% low at h = 5e-324
+    *(([*BASELINE, "--m", m, "--M", M, "--h", h, "--p", "1", "--w2init", "0"], 2, f"M={M}, h={h}, K=1, p=1:")
+      for m, M, h in [("1e-300", "1e-200", "1e-200"), ("8000000000000000.0", "1e+16", "5e-324")]),
     # 2/(m+M) rounds to 2/M: the step grid is refused, not a step the user never passed
     (["figure1", "--m", "1", "--M", "1e16", "--eps", "0.5", "--p-values", "1", "--out", "fig.csv"], 2,
      "M/m = 1e+16 is too large for a step grid"),
@@ -368,14 +376,6 @@ def test_baseline_bound_at_extreme_curvature(argv, value, capsys):
 def test_bound_keeps_the_stated_value_where_the_scaled_parts_leave_the_floats(argv, key, value, capsys):
     assert main(["bound", "--p", "1" if "noisy" in argv else "3"] + argv) == 0
     assert json.loads(capsys.readouterr().out)[key] == pytest.approx(value, rel=1e-12, abs=0.0)
-
-
-def test_baseline_bound_whose_square_leaves_the_floats_prints_its_root(capsys):
-    # W2^2 is about 3.8e309, W2 (a 50-digit evaluation) about 6.1745445176142348e154
-    argv = ["--m", "1e-300", "--M", "1e-300", "--h", "5e299", "--K", "1", "--p", "1000000000", "--w2init", "1"]
-    assert main(["bound", "--kind", "baseline", *argv]) == 0
-    out, err = capsys.readouterr()
-    assert json.loads(out)["value"] == pytest.approx(6.1745445176142348e154, rel=1e-14, abs=0.0) and err == ""
 
 
 def test_figure1_at_huge_curvature_counts_as_at_unit_curvature(tmp_path):
