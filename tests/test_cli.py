@@ -292,7 +292,7 @@ EXIT_RULE = [
     *(([*BASELINE, "--m", m, "--M", M, "--h", h, "--p", p, "--w2init", "1"], 2, "W2^2 or M/m overflows, or M h")
       for m, M, h, p in [("1e-300", "1e-300", "5e299", "1000000000"), ("1e-250", "1", "1e-171", "1"),
                          ("1e-300", "1e-200", "1e200", "1")]),
-    # a subnormal M h or M h p / m rounds the floor down: the bound came out 0 for 1, and 11% low at h = 5e-324
+    # a subnormal M h or M h p / m rounds the floor down: evaluated anyway, 0 for a bound of 1, 11% low at 5e-324
     *(([*BASELINE, "--m", m, "--M", M, "--h", h, "--p", "1", "--w2init", "0"], 2, f"M={M}, h={h}, K=1, p=1:")
       for m, M, h in [("1e-300", "1e-200", "1e-200"), ("8000000000000000.0", "1e+16", "5e-324")]),
     # 2/(m+M) rounds to 2/M: the step grid is refused, not a step the user never passed
