@@ -11,7 +11,8 @@ Subcommands:
 Every file-producing subcommand writes a ``<output>.manifest.json``
 next to its outputs with the parameters, wall time, and sha256 digest
 of each file, so results can be traced back to the exact invocation.
-Every file, manifests included, is written by ``outputs``.
+Every file, manifests included, is written by ``outputs``, and so is
+every summary: ``sample`` only picks the writer and the sampler call.
 Exit codes, set in main alone: 0 on success, 2 for a ValueError (a value
 the library refuses; one about a target file starts with its path), 1
 for anything else, such as an unreachable precision or a diverging chain.
@@ -42,9 +43,9 @@ __getattr__ = _lazy_getattr(globals(), {
     "bounds": ("BoundInputs", "baseline_bound", "lmc_bound", "noisy_lmc_bound"),
     "planner": ("DEFAULT_GRID_SIZE", "DEFAULT_GRID_SPAN", "UnreachablePrecisionError", "figure1_curves",
                 "plan_for_epsilon"),
-    "outputs": ("json_text", "write_figure1_csv", "write_json", "write_manifest", "write_theta_csv"),
-    "sampler": ("GradientOracle", "LmcConfig", "final_states", "run_lmc", "run_nlmc", "trajectory_to_csv",
-                "write_trajectory"),
+    "outputs": ("json_text", "trajectory_to_csv", "write_figure1_csv", "write_finals", "write_json",
+                "write_manifest", "write_trajectory"),
+    "sampler": ("GradientOracle", "LmcConfig", "chain_states", "final_states", "run_lmc", "run_nlmc"),
     "targets": ("load_target",),
     "validation": ("run_all_checks",),
 })
@@ -87,21 +88,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
         if args.replicas == 1:
-            summary = _cli.write_trajectory(target, config, initial, out)
+            summary = _cli.write_trajectory(out, config, _cli.chain_states(target, config, initial), target.dim)
             ran = f"{config.K} steps, dim {target.dim}"
         else:
-            finals = _cli.final_states(target, config, initial, args.replicas)
-            _cli.write_theta_csv(out, "replica", finals, target.dim)
-            summary = {
-                "dim": target.dim,
-                "iterations": config.K,
-                "seed": config.seed,
-                "oracle": args.oracle,
-                "sigma": args.sigma,
-                "replicas": args.replicas,
-                "final_mean": [float(x) for x in finals.mean(axis=0)],
-                "final_variance": [float(x) for x in finals.var(axis=0, ddof=1)],
-            }
+            summary = _cli.write_finals(out, config, _cli.final_states(target, config, initial, args.replicas))
             ran = f"{args.replicas} replicas, {config.K} steps"
     except FloatingPointError as exc:
         raise FloatingPointError(

@@ -1,6 +1,6 @@
-"""Every file the package writes: sample and figure1 CSVs, JSON summaries and manifests.
+"""Every file the package writes (sample and figure1 CSVs, JSON, manifests) and both sample summaries.
 
-Each goes through _replacing, so it appears only once complete.  JSON is
+Each file goes through _replacing, so it appears only once complete.  JSON is
 strict: a non-finite float is null.  The numbers in a sample CSV are
 Python's float repr for whole blocks of values: encode_rows(block, first)
 returns, for a 2-D float64 block, exactly
@@ -211,8 +211,14 @@ def write_figure1_csv(path, points: Iterable) -> None:
             )
 
 
+def _head(config, dim: int) -> dict:
+    """The keys both sample summaries open with, from config: the run as requested."""
+    return {"dim": dim, "iterations": config.K, "h": config.h, "seed": config.seed,
+            "oracle": config.oracle.mode, "sigma": config.oracle.sigma}
+
+
 class RunSummary:
-    """A run's JSON-ready summary from its n states fed one at a time.
+    """A trajectory's JSON-ready summary from its n states fed one at a time.
 
     The path mean sums the rows in order from +0.0 and divides by n.
     """
@@ -228,20 +234,54 @@ class RunSummary:
 
     def summary(self, config, replica: int, wall_time: float, tau: Optional[float] = None) -> dict:
         summary = {
-            "dim": self._sum.size,
-            "iterations": self.n - 1,
-            "h": config.h,
-            "seed": config.seed,
-            "oracle": config.oracle.mode,
-            "sigma": config.oracle.sigma,
+            **_head(config, self._sum.size),
             "replica": replica,
             "wall_time_s": wall_time,
-            "final": [float(x) for x in self.last],
-            "path_mean": [float(x) for x in self._sum / self.n],
+            "final": self.last.tolist(),
+            "path_mean": (self._sum / self.n).tolist(),
         }
         if tau is not None:
             summary["tau"] = tau
         return summary
+
+
+def trajectory_to_csv(traj, path) -> None:
+    """Write a sampler.Trajectory's iterates as CSV with header k,theta_0,...,theta_{p-1}.
+
+    Floats are written with repr so the file round-trips bit for bit.
+    """
+    write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
+
+
+def trajectory_summary(traj) -> dict:
+    """A sampler.Trajectory's summary: the shared head, replica, wall time, final state, path means."""
+    run = RunSummary(*traj.iterates.shape)
+    for row in traj.iterates:
+        run.add(row)
+    return run.summary(traj.config, traj.replica, traj.wall_time, traj.tau)
+
+
+def write_trajectory(path, config, states: Iterable[np.ndarray], dim: int) -> dict:
+    """Write replica 0's states to a trajectory CSV and return its summary.
+
+    states is sampler.chain_states(target, config, initial).  The file and
+    the summary are those trajectory_to_csv and trajectory_summary give
+    for run_lmc or run_nlmc with the same arguments, byte for byte, except
+    wall_time_s, which here covers the chain and the writing together.
+    States are written block by block as they come, so memory does not
+    grow with K.  If the chain fails, path is left as it was.
+    """
+    t0 = time.perf_counter()
+    run = RunSummary(config.K + 1, dim)
+    write_theta_csv(path, "k", map(run.add, states), dim)
+    return run.summary(config, 0, time.perf_counter() - t0)
+
+
+def write_finals(path, config, finals: np.ndarray) -> dict:
+    """Write finals (replicas, dim), a row per replica; return the head, numpy's mean and ddof=1 variance."""
+    write_theta_csv(path, "replica", finals, finals.shape[1])
+    moments = {"final_mean": finals.mean(axis=0).tolist(), "final_variance": finals.var(axis=0, ddof=1).tolist()}
+    return {**_head(config, finals.shape[1]), "replicas": len(finals), **moments}
 
 
 def json_text(payload: dict) -> str:

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 import numpy as np
 
 from ._scalars import array, choice, count, nonnegative, positive
-from .outputs import RunSummary, write_theta_csv
 from .parallel import parallel_map
 from .targets import TargetPotential
 
@@ -48,10 +47,8 @@ __all__ = [
     "run_nlmc",
     "run_tempered_lmc",
     "gradient_descent",
+    "chain_states",
     "final_states",
-    "trajectory_to_csv",
-    "trajectory_summary",
-    "write_trajectory",
 ]
 
 XI_STREAM = 0
@@ -320,15 +317,22 @@ def _lmc(target: TargetPotential, config: LmcConfig, theta: np.ndarray, replicas
     return _advance(theta, config.K, h, drift, math.sqrt(2.0 * h), config.seed, replicas, law)
 
 
+def chain_states(target: TargetPotential, config: LmcConfig, initial: InitialState,
+                 replica: int = 0) -> Iterator[np.ndarray]:
+    """theta_0, ..., theta_K of replica's chain, each computed when taken; the step and start are checked at once."""
+    replica = count("replica", replica)
+    _check_step_size(config.h, target)
+    theta = _resolve_initial(initial, target, config.seed, replica)
+    return chain([theta], _lmc(target, config, theta, range(replica, replica + 1)))
+
+
 def _run_chain(
     target: TargetPotential, config: LmcConfig, initial: InitialState, replica: int
 ) -> Trajectory:
     t0 = time.perf_counter()
-    replica = count("replica", replica)
-    _check_step_size(config.h, target)
-    theta = _resolve_initial(initial, target, config.seed, replica)
-    iterates = _record(theta, _lmc(target, config, theta, range(replica, replica + 1)), config.K)
-    return Trajectory(iterates, config, time.perf_counter() - t0, replica=replica)
+    states = chain_states(target, config, initial, replica)
+    iterates = _record(next(states), states, config.K)
+    return Trajectory(iterates, config, time.perf_counter() - t0, replica=count("replica", replica))
 
 
 def run_lmc(
@@ -366,8 +370,8 @@ def gradient_descent(
     return _record(theta, _advance(theta, config.K, config.h, lambda x, z: target.grad(x)), config.K)
 
 
-def run_tempered_lmc(target: TargetPotential, tau: float, K: int, seed: int = 0,
-                     initial: InitialState = None, replica: int = 0) -> Trajectory:
+def run_tempered_lmc(target: TargetPotential, tau: float, K: int, seed: int = 0, *,
+                     initial: InitialState, replica: int = 0) -> Trajectory:
     """Chain with unit-curvature step and temperature-scaled noise:
 
         theta_{k+1} = theta_k - (1/M) grad f(theta_k) + sqrt(2 tau / M) xi
@@ -440,38 +444,3 @@ def final_states(
 
     parallel_map(run_block, range(0, replicas, chunk))
     return out
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write iterates as CSV with header k,theta_0,...,theta_{p-1}.
-
-    Floats are written with repr so the file round-trips bit for bit.
-    """
-    write_theta_csv(path, "k", traj.iterates, traj.iterates.shape[1])
-
-
-def trajectory_summary(traj: Trajectory) -> dict:
-    """JSON-ready run summary: config echo, final state, per-coordinate path means."""
-    run = RunSummary(*traj.iterates.shape)
-    for row in traj.iterates:
-        run.add(row)
-    return run.summary(traj.config, traj.replica, traj.wall_time, traj.tau)
-
-
-def write_trajectory(target: TargetPotential, config: LmcConfig, initial: InitialState, path) -> dict:
-    """Run replica 0's chain straight into a trajectory CSV and return its summary.
-
-    The file and the summary are those trajectory_to_csv and
-    trajectory_summary give for run_lmc or run_nlmc with the same
-    arguments, byte for byte, except wall_time_s, which here covers the
-    chain and the writing together.  States are written block by block
-    as the kernel produces them, so memory does not grow with K.  If the
-    chain fails, path is left as it was.
-    """
-    t0 = time.perf_counter()
-    _check_step_size(config.h, target)
-    theta = _resolve_initial(initial, target, config.seed, 0)
-    run = RunSummary(config.K + 1, target.dim)
-    states = chain([theta], _lmc(target, config, theta, range(1)))
-    write_theta_csv(path, "k", map(run.add, states), target.dim)
-    return run.summary(config, 0, time.perf_counter() - t0)

@@ -240,6 +240,35 @@ class TestSampleCommand:
         assert len(summary["final_mean"]) == 2
         assert len(summary["final_variance"]) == 2
 
+    def test_both_summaries_open_with_one_head(self, quad_target_file, tmp_path):
+        flags = ["--target", str(quad_target_file), "--h", "0.05", "--K", "6", "--seed", "9",
+                 "--oracle", "gaussian", "--sigma", "0.25"]
+        heads = []
+        for replicas in (1, 3):
+            out = tmp_path / f"r{replicas}.csv"
+            assert main(["sample", *flags, "--replicas", str(replicas), "--out", str(out)]) == 0
+            summary = json.loads(out.with_name(out.stem + ".summary.json").read_text())
+            heads.append(list(summary.items())[:6])
+        expected = [("dim", 2), ("iterations", 6), ("h", 0.05), ("seed", 9), ("oracle", "gaussian"), ("sigma", 0.25)]
+        assert heads == [expected, expected]
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_replica_moments_are_numpys_to_the_bit(self, tmp_path, p):
+        # at p = 1 numpy's mean sums the column pairwise, so an in-order row sum would differ here
+        target = tmp_path / "quad.json"
+        target.write_text(json.dumps({"type": "quadratic", "mean": [0.5] * p,
+                                      "precision": np.diag(np.linspace(1.0, 3.0, p)).tolist()}))
+        out, R = tmp_path / "finals.csv", 300
+        assert main(["sample", "--target", str(target), "--h", "0.1", "--K", "20", "--seed", "4",
+                     "--replicas", str(R), "--init", ",".join(["2"] * p), "--out", str(out)]) == 0
+        rows = np.array([[float(x) for x in line.split(",")[1:]] for line in out.read_text().splitlines()[1:]])
+        summary = json.loads((tmp_path / "finals.summary.json").read_text())
+        assert rows.shape == (R, p)
+        assert np.array(summary["final_mean"]).tobytes() == rows.mean(axis=0).tobytes()
+        assert np.array(summary["final_variance"]).tobytes() == rows.var(axis=0, ddof=1).tobytes()
+        in_order = sum(rows, np.zeros(p)) / R
+        assert (in_order != rows.mean(axis=0)).any() == (p == 1)
+
     def test_noisy_oracle_run(self, quad_target_file, tmp_path):
         out = tmp_path / "noisy.csv"
         code = main(["sample", "--target", str(quad_target_file), "--h", "0.05",

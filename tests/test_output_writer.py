@@ -3,7 +3,7 @@
 The checks read the package's source with ast: a write_text or
 write_bytes call, or an open() in a mode that can write, anywhere but
 inside outputs._replacing would be a second writer; and the chains in
-sampler and the commands in cli leave files to outputs.
+sampler and the commands in cli leave files, and summaries, to outputs.
 """
 
 import ast
@@ -78,6 +78,13 @@ def test_sampler_opens_no_file_and_cli_takes_no_private_sampler_name():
     taken += [node.attr for node in ast.walk(source("cli.py")) if isinstance(node, ast.Attribute)
               and getattr(node.value, "id", None) in ("sampler", "sampler_mod")]
     assert taken and not [name for name in taken if name.startswith("_")], taken
+    # sampler hands its states to outputs through cli, and only outputs builds a summary
+    via_outputs = [node.lineno for node in sampler if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "outputs" in {*(getattr(node, "module", None) or "").split("."),
+                                     *(part for alias in node.names for part in alias.name.split("."))}]
+    assert via_outputs == [], via_outputs
+    cli_text = next(path for path in SOURCES if path.name == "cli.py").read_text(encoding="utf-8")
+    assert [key for key in ("final_mean", "final_variance", "path_mean") if key in cli_text] == []
 
 
 def test_the_check_reads_every_form_of_open():

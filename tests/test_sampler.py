@@ -16,6 +16,7 @@ from langevin_lab.sampler import (
     Trajectory,
     XI_STREAM,
     ZETA_STREAM,
+    chain_states,
     final_states,
     gradient_descent,
     lmc_step,
@@ -24,9 +25,8 @@ from langevin_lab.sampler import (
     run_lmc,
     run_nlmc,
     run_tempered_lmc,
-    trajectory_summary,
-    trajectory_to_csv,
 )
+from langevin_lab.outputs import trajectory_summary, trajectory_to_csv
 from langevin_lab.targets import logistic_target, quadratic_target, temper
 
 from conftest import make_spd
@@ -44,6 +44,11 @@ def logit():
     X = r.standard_normal((40, 3))
     y = (r.random(40) < 0.5).astype(float)
     return logistic_target(X, y, ridge=0.5)
+
+
+def write_trajectory(target, config, initial, path):
+    """The trajectory CSV and summary `sample --replicas 1` writes: replica 0's states streamed to outputs."""
+    return outputs_mod.write_trajectory(path, config, chain_states(target, config, initial), target.dim)
 
 
 def small_config(**kw):
@@ -354,6 +359,17 @@ class TestGradientDescent:
             gradient_descent(gauss2, 0.1, -3, np.zeros(2))
 
 
+class TestChainStates:
+    def test_checks_at_the_call_and_yields_the_recorded_iterates(self, gauss2):
+        with pytest.warns(RuntimeWarning, match="2/M"):
+            chain_states(gauss2, small_config(h=3.0 / gauss2.M), np.zeros(2))  # no state taken
+        with pytest.raises(ValueError, match="initial state must have shape"):
+            chain_states(gauss2, small_config(), np.zeros(3))
+        cfg = small_config(K=9)
+        states = list(chain_states(gauss2, cfg, np.ones(2), replica=2))
+        assert np.array_equal(states, run_lmc(gauss2, cfg, np.ones(2), replica=2).iterates)
+
+
 class TestTemperedChain:
     def test_zero_temperature_is_descent_with_step_one_over_m(self, gauss2):
         t = run_tempered_lmc(gauss2, 0.0, 20, seed=3, initial=np.array([2.0, 2.0]))
@@ -394,7 +410,7 @@ class TestTemperedChain:
     def test_validation(self, gauss2):
         with pytest.raises(ValueError, match="tau"):
             run_tempered_lmc(gauss2, -1.0, 5, initial=np.zeros(2))
-        with pytest.raises(ValueError, match="initial"):
+        with pytest.raises(TypeError, match="keyword-only argument: 'initial'"):
             run_tempered_lmc(gauss2, 1.0, 5)
 
 
@@ -540,7 +556,7 @@ class TestBoundedMemory:
             config = LmcConfig(h=0.5 / target.M, K=K)
             tracemalloc.start()
             try:
-                sampler_mod.write_trajectory(target, config, np.zeros(20), tmp_path / "chain.csv")
+                write_trajectory(target, config, np.zeros(20), tmp_path / "chain.csv")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -569,7 +585,7 @@ def test_streamed_trajectory_equals_the_recorded_one(p, K, seed, oracle, budget,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler_mod, "_NOISE_BUDGET", budget)
         mp.setattr(outputs_mod, "_BLOCK_VALUES", budget)  # CSV blocks of budget // p rows
-        streamed = sampler_mod.write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv")
+        streamed = write_trajectory(target, cfg, np.full(p, -0.5), tmp / "streamed.csv")
     traj = runner(target, cfg, np.full(p, -0.5))
     trajectory_to_csv(traj, tmp / "recorded.csv")
     assert (tmp / "streamed.csv").read_bytes() == (tmp / "recorded.csv").read_bytes()
@@ -599,7 +615,7 @@ def test_a_negative_zero_start_has_a_positive_zero_path_mean(tmp_path):
     # numpy's mean of the rows also starts from +0.0, so p > 1 summaries keep their bits
     for p in (1, 2, 3):
         target = quadratic_target(np.zeros(p), np.eye(p))
-        summary = sampler_mod.write_trajectory(target, LmcConfig(h=0.1, K=0), np.full(p, -0.0), tmp_path / "c.csv")
+        summary = write_trajectory(target, LmcConfig(h=0.1, K=0), np.full(p, -0.0), tmp_path / "c.csv")
         assert [math.copysign(1.0, x) for x in summary["final"]] == [-1.0] * p
         assert [math.copysign(1.0, x) for x in summary["path_mean"]] == [1.0] * p
         assert np.mean(np.full((1, p), -0.0), axis=0).tobytes() == np.array(summary["path_mean"]).tobytes()
@@ -623,16 +639,16 @@ class TestChainHealth:
         out = tmp_path / "chain.csv"
         with pytest.warns(RuntimeWarning, match="2/M"):
             with pytest.raises(FloatingPointError, match=r"replica 0 is not finite"):
-                sampler_mod.write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
+                write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
         assert list(tmp_path.iterdir()) == []
 
     def test_diverging_trajectory_leaves_an_existing_file_as_it_was(self, gauss2, tmp_path):
         out = tmp_path / "chain.csv"
-        sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
+        write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
         before = out.read_bytes()
         with pytest.warns(RuntimeWarning, match="2/M"):
             with pytest.raises(FloatingPointError, match=r"replica 0 is not finite"):
-                sampler_mod.write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
+                write_trajectory(gauss2, small_config(h=3.0 / gauss2.M, K=3000), np.zeros(2), out)
         assert out.read_bytes() == before
         assert list(tmp_path.iterdir()) == [out]
 
@@ -642,7 +658,7 @@ class TestCsvReplacement:
         out = tmp_path / "chain.csv"
         out.mkdir()
         with pytest.raises(IsADirectoryError):
-            sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
+            write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
         assert out.is_dir() and list(out.iterdir()) == []
         assert list(tmp_path.iterdir()) == [out]
 
@@ -655,7 +671,7 @@ class TestCsvReplacement:
 
         monkeypatch.setattr(outputs_mod.os, "replace", refuse)
         with pytest.raises(PermissionError):
-            sampler_mod.write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
+            write_trajectory(gauss2, small_config(K=5), np.zeros(2), out)
         assert out.read_text() == "previous run\n"
         assert list(tmp_path.iterdir()) == [out]
 
